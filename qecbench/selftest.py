@@ -4,9 +4,11 @@
     python3 qecbench/selftest.py
 
 For every workload (`count` too, which `BENCHMARK.json` does not gate) it
-makes a short run with tracing off and one with tracing on, and checks that the result line carries exactly the metrics
-`BENCHMARK.json` names, each with its unit, and that the traced run confirms
-the workload's intended dominant layer. Then it runs every workload with one
+makes a short run with tracing off and one with tracing on, and checks that
+the result line carries exactly the metrics `BENCHMARK.json` names, each with
+its unit, that no operation failed, that the traced run confirms the
+workload's intended dominant layer, and that serve's p50 and p99 land on the
+cache-hit and cold paths. Then it runs every workload with one
 reference answer deliberately corrupted and checks that the benchmark exits
 nonzero without printing a result. Exits nonzero on any failure.
 """
@@ -53,11 +55,15 @@ def main():
             if doc is None:
                 continue
             check(set(doc) == {"correct", "attempted", "failed", "metrics"}
-                  and doc["correct"] is True and doc["attempted"] >= 1,
-                  f"{name} --trace {trace} result keys")
+                  and doc["correct"] is True and doc["attempted"] >= 1
+                  and doc["failed"] == 0,
+                  f"{name} --trace {trace} result keys, every operation decided")
             want = {m["name"]: m["unit"] for m in bench[key]}
             got = {k: v.get("unit") for k, v in doc["metrics"].items()}
             check(got == want, f"{name} --trace {trace} emits every {key} metric with its unit")
+            if name == "serve" and trace == "0":
+                check("p50 lands on Hit, p99 lands on Cold" in done.stdout,
+                      "serve p50 measures the cache-hit path and p99 the cold path")
             if trace == "1":
                 check("confirmed" in done.stdout and "NOT confirmed" not in done.stdout,
                       f"{name} traced run confirms the dominant layer")

@@ -10,7 +10,9 @@
 //! per-layer metrics of a traced layer-by-layer pass instead. Every verdict
 //! is checked against an answer known without the verifier (see
 //! `questions.rs`); a wrong one ends the run with exit code 3 and no result
-//! line. The last line of standard output is one JSON object:
+//! line. No budget, deadline or queue bound is ever reached, so every
+//! question must be decided: an operation that ends without a verdict ends
+//! the run with exit code 5 and no result line. The last line of standard output is one JSON object:
 //! `{"correct":…,"attempted":…,"failed":…,"metrics":{name:{"value":…,"unit":…}}}`.
 
 mod layers;
@@ -25,7 +27,7 @@ use veriqec::engine::{Engine, EngineConfig};
 
 use crate::layers::{pipeline, self_times, Pass, LAYERS};
 use crate::questions::{Question, Verdict};
-use crate::serve_load::{closed_loop, Path, Round};
+use crate::serve_load::{closed_loop, Path, Round, PATHS};
 use crate::workloads::{batch_questions, codes, Mix, Workload};
 
 /// Set-ups timed before each batch pass; the median over the run is
@@ -84,6 +86,15 @@ fn main() {
         (w, false) => batch_untraced(w, &args),
         (w, true) => batch_traced(w, &args),
     };
+    if out.failed > 0 {
+        // Nothing sets a budget, so an undecided question is a defect, and a
+        // run that stopped answering must not read as a faster one.
+        eprintln!(
+            "error: {} of {} operations ended without a verdict",
+            out.failed, out.attempted
+        );
+        std::process::exit(5);
+    }
     out.print();
 }
 
@@ -127,14 +138,18 @@ fn median(xs: &mut [f64]) -> f64 {
     percentile(xs, 0.5)
 }
 
+/// The index of the nearest-rank percentile `q` among `len` sorted values.
+fn rank(len: usize, q: f64) -> usize {
+    ((q * len as f64).ceil() as usize).clamp(1, len) - 1
+}
+
 /// Nearest-rank percentile.
 fn percentile(xs: &mut [f64], q: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
     xs.sort_by(f64::total_cmp);
-    let rank = ((q * xs.len() as f64).ceil() as usize).clamp(1, xs.len());
-    xs[rank - 1]
+    xs[rank(xs.len(), q)]
 }
 
 /// The process's resident-set high-water mark (`VmHWM`), in MB.
@@ -175,6 +190,8 @@ struct BatchLoop {
     /// Wall time of each `Engine::run` pass, including building its jobs.
     passes: Vec<f64>,
     /// `VmHWM` after the untimed first pass.
+    first_rss_mb: f64,
+    /// `VmHWM` at the end of the run.
     peak_rss_mb: f64,
     /// Set-up times, in seconds.
     setups: Vec<f64>,
@@ -196,11 +213,9 @@ impl BatchLoop {
 /// Passes over the whole question set, each in a seeded order on a fresh
 /// engine, until `seconds` of measured time have passed. The first pass
 /// runs the questions in their listed order, warms caches and the
-/// allocator and is not timed; the process's peak memory right after it is
-/// the workload's `peak_rss_mb`. (Later passes only add allocator
-/// fragmentation, which would make the figure depend on how many passes fit
-/// in the run; a seeded order would make it depend on which large jobs
-/// happened to overlap.)
+/// allocator and is not timed. The process's peak memory is read after it
+/// and at the end of the run, so memory that grows from pass to pass shows
+/// as the difference.
 fn batch_loop(w: Workload, qs: &[Question], seed: u64, seconds: f64) -> BatchLoop {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = BatchLoop {
@@ -208,6 +223,7 @@ fn batch_loop(w: Workload, qs: &[Question], seed: u64, seconds: f64) -> BatchLoo
         attempted: 0,
         failed: 0,
         correct: 0,
+        first_rss_mb: 0.0,
         peak_rss_mb: 0.0,
         setups: Vec::new(),
     };
@@ -224,7 +240,7 @@ fn batch_loop(w: Workload, qs: &[Question], seed: u64, seconds: f64) -> BatchLoo
         let report = Engine::new(EngineConfig::default()).run(jobs);
         let took = ms(t0.elapsed());
         if warm {
-            out.peak_rss_mb = peak_rss_mb();
+            out.first_rss_mb = peak_rss_mb();
         } else {
             out.passes.push(took);
         }
@@ -239,6 +255,7 @@ fn batch_loop(w: Workload, qs: &[Question], seed: u64, seconds: f64) -> BatchLoo
         }
         warm = false;
     }
+    out.peak_rss_mb = peak_rss_mb();
     out
 }
 
@@ -252,6 +269,10 @@ fn batch_untraced(w: Workload, args: &Args) -> Output {
         qs.len(),
         run.correct,
         run.measured_s()
+    );
+    println!(
+        "# peak memory {:.1} MB after the first pass, {:.1} MB at the end",
+        run.first_rss_mb, run.peak_rss_mb
     );
     Output {
         attempted: run.attempted,
@@ -294,69 +315,86 @@ fn mixes(args: &Args) -> Vec<Mix> {
         .collect()
 }
 
-struct ServeTally {
-    attempted: usize,
-    failed: usize,
-    correct: usize,
+/// Requests answered on `path`, over every round.
+fn path_count(rounds: &[Round], path: Path) -> usize {
+    let i = PATHS.iter().position(|&p| p == path).expect("a path");
+    rounds.iter().map(|r| r.path_count[i]).sum()
 }
 
-fn tally(rounds: &[Round]) -> ServeTally {
-    let mut t = ServeTally {
-        attempted: 0,
-        failed: 0,
-        correct: 0,
-    };
-    for s in rounds.iter().flat_map(|r| &r.samples) {
-        t.attempted += 1;
-        match &s.verdict {
-            Verdict::Correct => t.correct += 1,
-            Verdict::Inconclusive => t.failed += 1,
-            Verdict::Wrong(msg) => abort_wrong(msg),
-        }
-    }
-    t
+/// Median over the rounds of a per-round figure.
+fn median_of(rounds: &[Round], f: impl Fn(&Round) -> f64) -> f64 {
+    median(&mut rounds.iter().map(f).collect::<Vec<f64>>())
 }
 
-fn latencies(rounds: &[Round], path: Option<Path>) -> Vec<f64> {
-    rounds
+/// Median over the rounds that answered on `path` of its per-round median
+/// round trip, in ms.
+fn path_p50_ms(rounds: &[Round], path: Path) -> f64 {
+    let i = PATHS.iter().position(|&p| p == path).expect("a path");
+    let mut ms: Vec<f64> = rounds
         .iter()
-        .flat_map(|r| &r.samples)
-        .filter(|s| path.is_none_or(|p| s.path == p))
-        .map(|s| s.ms)
-        .collect()
+        .filter(|r| r.path_count[i] > 0)
+        .map(|r| r.path_p50_ms[i])
+        .collect();
+    median(&mut ms)
+}
+
+/// The path every round's percentile request took, or "mixed".
+fn landing(rounds: &[Round], f: impl Fn(&Round) -> Path) -> String {
+    let first = f(&rounds[0]);
+    if rounds.iter().all(|r| f(r) == first) {
+        format!("{first:?}")
+    } else {
+        "mixed".into()
+    }
+}
+
+fn attempted(rounds: &[Round]) -> usize {
+    rounds.iter().map(|r| r.correct + r.failed).sum()
+}
+
+fn failed(rounds: &[Round]) -> usize {
+    rounds.iter().map(|r| r.failed).sum()
 }
 
 /// Correct verdicts per second of measured time.
 fn serve_verdicts_per_s(rounds: &[Round]) -> f64 {
-    let correct: usize = rounds.iter().map(Round::correct).sum();
+    let correct: usize = rounds.iter().map(|r| r.correct).sum();
     correct as f64 / rounds.iter().map(|r| r.wall).sum::<f64>()
 }
 
 fn serve_untraced(args: &Args) -> Output {
     let rounds = closed_loop(&mixes(args), args.seconds);
-    let t = tally(&rounds);
-    let mut all = latencies(&rounds, None);
+    let requests = attempted(&rounds);
     println!(
-        "# {} rounds, {} requests on {} connections in {:.2} s ({} hits, {} warm, {} cold)",
+        "# {} rounds, {} requests on {} connections in {:.2} s",
         rounds.len(),
-        all.len(),
+        requests,
         clients(),
         rounds.iter().map(|r| r.wall).sum::<f64>(),
-        latencies(&rounds, Some(Path::Hit)).len(),
-        latencies(&rounds, Some(Path::Warm)).len(),
-        latencies(&rounds, Some(Path::Cold)).len(),
     );
-    let mut setups: Vec<f64> = rounds.iter().map(|r| r.setup).collect();
+    let share = |p| path_count(&rounds, p) as f64 / requests as f64;
+    println!(
+        "# paths: hit {:.3}, warm {:.3}, cold {:.3}; p50 lands on {}, p99 lands on {}",
+        share(Path::Hit),
+        share(Path::Warm),
+        share(Path::Cold),
+        landing(&rounds, |r| r.p50_path),
+        landing(&rounds, |r| r.p99_path),
+    );
+    let peak = peak_rss_mb();
+    println!(
+        "# peak memory {:.1} MB after the first round, {peak:.1} MB at the end",
+        rounds[0].peak_rss_mb
+    );
     Output {
-        attempted: t.attempted,
-        failed: t.failed,
+        attempted: requests,
+        failed: failed(&rounds),
         metrics: vec![
-            ("setup_s", median(&mut setups), "s"),
+            ("setup_s", median_of(&rounds, |r| r.setup), "s"),
             ("verdicts_per_s", serve_verdicts_per_s(&rounds), "1/s"),
-            ("latency_p50_ms", median(&mut all), "ms"),
-            ("latency_p99_ms", percentile(&mut all, 0.99), "ms"),
-            // After the first round, as for the batch workloads' first pass.
-            ("peak_rss_mb", rounds[0].peak_rss_mb, "MB"),
+            ("latency_p50_ms", median_of(&rounds, |r| r.p50_ms), "ms"),
+            ("latency_p99_ms", median_of(&rounds, |r| r.p99_ms), "ms"),
+            ("peak_rss_mb", peak, "MB"),
         ],
     }
 }
@@ -410,17 +448,22 @@ fn layer_metrics(
         pass.engine_busy_ms / pass.direct_all_ms
     };
     let ratio = |a: usize, b: usize| if b == 0 { 0.0 } else { a as f64 / b as f64 };
-    let (mut hit, mut warm, mut cold, hit_ratio, warm_ratio) = match serve {
+    let (hit, warm, cold, hit_ratio, warm_ratio) = match serve {
         Some(run) => {
-            let (h, w, c) = (
-                latencies(run, Some(Path::Hit)),
-                latencies(run, Some(Path::Warm)),
-                latencies(run, Some(Path::Cold)),
+            let (nh, nw, nc) = (
+                path_count(run, Path::Hit),
+                path_count(run, Path::Warm),
+                path_count(run, Path::Cold),
             );
-            let (nh, nw, nc) = (h.len(), w.len(), c.len());
-            (h, w, c, ratio(nh, nh + nw + nc), ratio(nw, nw + nc))
+            (
+                path_p50_ms(run, Path::Hit),
+                path_p50_ms(run, Path::Warm),
+                path_p50_ms(run, Path::Cold),
+                ratio(nh, nh + nw + nc),
+                ratio(nw, nw + nc),
+            )
         }
-        None => (vec![], vec![], vec![], 0.0, 0.0),
+        None => (0.0, 0.0, 0.0, 0.0, 0.0),
     };
     vec![
         ("scenario.ms", layer("scenario"), "ms"),
@@ -466,9 +509,9 @@ fn layer_metrics(
         ("engine.cubes", pass.engine_cubes as f64, "count"),
         ("engine.work_ratio", work_ratio, "ratio"),
         ("serve.self_ms", layer("serve"), "ms"),
-        ("serve.hit_p50_ms", median(&mut hit), "ms"),
-        ("serve.warm_p50_ms", median(&mut warm), "ms"),
-        ("serve.cold_p50_ms", median(&mut cold), "ms"),
+        ("serve.hit_p50_ms", hit, "ms"),
+        ("serve.warm_p50_ms", warm, "ms"),
+        ("serve.cold_p50_ms", cold, "ms"),
         ("serve.cache_hit_ratio", hit_ratio, "ratio"),
         ("serve.warm_ratio", warm_ratio, "ratio"),
         ("report.json_ms", layer("report"), "ms"),
@@ -512,11 +555,7 @@ fn print_dominance(w: Workload, self_ms: &[f64; 9], serve: Option<&[Round]>) {
         }
         Workload::Serve => {
             let run = serve.expect("the serve loop ran");
-            let (mut hit, mut cold) = (
-                latencies(run, Some(Path::Hit)),
-                latencies(run, Some(Path::Cold)),
-            );
-            let (h, c) = (median(&mut hit), median(&mut cold));
+            let (h, c) = (path_p50_ms(run, Path::Hit), path_p50_ms(run, Path::Cold));
             (
                 format!("hit p50 {h:.3} ms is below cold p50 {c:.3} ms"),
                 h < c,
@@ -560,7 +599,6 @@ fn serve_traced(args: &Args) -> Output {
     let third = args.seconds / 3.0;
     let mixes = mixes(args);
     let plain = closed_loop(&mixes, third);
-    let plain_t = tally(&plain);
     let mut qs = workloads::serve_pass_questions(args.seed);
     if args.corrupt {
         qs[0].corrupt();
@@ -571,13 +609,12 @@ fn serve_traced(args: &Args) -> Output {
     let trace = collect_trace(required_categories(Workload::Serve));
     veriqec_obs::set_enabled(false);
     check_pass(&pass);
-    let traced_t = tally(&traced);
     let self_ms = self_times(trace.events());
     print_dominance(Workload::Serve, &self_ms, Some(&plain));
     let overhead = serve_verdicts_per_s(&traced) / serve_verdicts_per_s(&plain);
     Output {
-        attempted: plain_t.attempted + traced_t.attempted + pass.attempted,
-        failed: plain_t.failed + traced_t.failed + pass.failed,
+        attempted: attempted(&plain) + attempted(&traced) + pass.attempted,
+        failed: failed(&plain) + failed(&traced) + pass.failed,
         metrics: layer_metrics(&pass, &self_ms, Some(&plain), overhead),
     }
 }

@@ -23,30 +23,77 @@ pub enum Path {
     Cold,
 }
 
+pub const PATHS: [Path; 3] = [Path::Hit, Path::Warm, Path::Cold];
+
 /// One answered request.
-pub struct Sample {
-    pub ms: f64,
-    pub path: Path,
-    pub verdict: Verdict,
+struct Sample {
+    ms: f64,
+    path: Path,
+    verdict: Verdict,
 }
 
-/// One round: a fresh server answering every client's sequence.
+/// One round: a fresh server answering every client's sequence. Only its
+/// summary is kept, so the benchmark's own memory does not grow with the
+/// number of rounds and `peak_rss_mb` stays the program's.
 pub struct Round {
-    pub samples: Vec<Sample>,
     /// From the first request to the last reply, in seconds.
     pub wall: f64,
     /// The server's start-up, in seconds.
     pub setup: f64,
     /// The process's peak memory after the round, in MB.
     pub peak_rss_mb: f64,
+    pub correct: usize,
+    pub failed: usize,
+    /// Nearest-rank median and 99th percentile of the round trips, in ms,
+    /// and the path of the request at each.
+    pub p50_ms: f64,
+    pub p99_ms: f64,
+    pub p50_path: Path,
+    pub p99_path: Path,
+    /// Per path, in [`PATHS`] order: the requests answered that way and
+    /// their median round trip in ms (0 when there are none).
+    pub path_count: [usize; 3],
+    pub path_p50_ms: [f64; 3],
 }
 
 impl Round {
-    pub fn correct(&self) -> usize {
-        self.samples
-            .iter()
-            .filter(|s| s.verdict == Verdict::Correct)
-            .count()
+    /// Tallies a round's answers; a wrong one ends the run.
+    fn summarize(mut samples: Vec<Sample>, wall: f64, setup: f64) -> Round {
+        let (mut correct, mut failed) = (0, 0);
+        for s in &samples {
+            match &s.verdict {
+                Verdict::Correct => correct += 1,
+                Verdict::Inconclusive => failed += 1,
+                Verdict::Wrong(msg) => crate::abort_wrong(msg),
+            }
+        }
+        samples.sort_by(|a, b| a.ms.total_cmp(&b.ms));
+        let at = |q: f64| &samples[crate::rank(samples.len(), q)];
+        let (p50, p99) = (at(0.5), at(0.99));
+        let mut path_count = [0; 3];
+        let mut path_p50_ms = [0.0; 3];
+        for (i, path) in PATHS.into_iter().enumerate() {
+            let mut ms: Vec<f64> = samples
+                .iter()
+                .filter(|s| s.path == path)
+                .map(|s| s.ms)
+                .collect();
+            path_count[i] = ms.len();
+            path_p50_ms[i] = crate::median(&mut ms);
+        }
+        Round {
+            wall,
+            setup,
+            peak_rss_mb: crate::peak_rss_mb(),
+            correct,
+            failed,
+            p50_ms: p50.ms,
+            p99_ms: p99.ms,
+            p50_path: p50.path,
+            p99_path: p99.path,
+            path_count,
+            path_p50_ms,
+        }
     }
 }
 
@@ -87,7 +134,7 @@ fn round_trip(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &st
 /// Every round starts a fresh server (empty cache and session pool; its
 /// start-up is one set-up sample) and replays each client's seeded
 /// sequence, so every round sees the same mix of cold, warm and cached
-/// answers. Stops early after a wrong verdict.
+/// answers. A wrong verdict ends the run.
 pub fn closed_loop(mixes: &[Mix], seconds: f64) -> Vec<Round> {
     let mut rounds: Vec<Round> = Vec::new();
     while rounds.iter().map(|r| r.wall).sum::<f64>() < seconds || rounds.is_empty() {
@@ -106,19 +153,8 @@ pub fn closed_loop(mixes: &[Mix], seconds: f64) -> Vec<Round> {
         });
         let wall = t0.elapsed().as_secs_f64();
         stop(server);
-        let samples: Vec<Sample> = per_client.into_iter().flatten().collect();
-        let wrong = samples
-            .iter()
-            .any(|s| matches!(s.verdict, Verdict::Wrong(_)));
-        rounds.push(Round {
-            samples,
-            wall,
-            setup: setup.as_secs_f64(),
-            peak_rss_mb: crate::peak_rss_mb(),
-        });
-        if wrong {
-            break;
-        }
+        let samples = per_client.into_iter().flatten().collect();
+        rounds.push(Round::summarize(samples, wall, setup.as_secs_f64()));
     }
     rounds
 }
