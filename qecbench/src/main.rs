@@ -187,8 +187,15 @@ fn questions_for(w: Workload, args: &Args) -> Vec<Question> {
 }
 
 struct BatchLoop {
-    /// Wall time of each `Engine::run` pass, including building its jobs.
+    /// Wall time of each timed `Engine::run` pass, including building its
+    /// jobs, in ms.
     passes: Vec<f64>,
+    /// Per timed pass: correct verdicts per second of the pass.
+    rates: Vec<f64>,
+    /// Per timed pass: the nearest-rank median and 99th percentile of its
+    /// questions' worker times (`JobReport::busy_time`), in ms.
+    job_p50_ms: Vec<f64>,
+    job_p99_ms: Vec<f64>,
     /// `VmHWM` after the untimed first pass.
     first_rss_mb: f64,
     /// `VmHWM` at the end of the run.
@@ -205,8 +212,10 @@ impl BatchLoop {
         self.passes.iter().sum::<f64>() / 1e3
     }
 
+    /// The median pass's rate, so a moment of host contention does not set
+    /// the figure.
     fn verdicts_per_s(&self) -> f64 {
-        self.correct as f64 / self.measured_s()
+        median(&mut self.rates.clone())
     }
 }
 
@@ -220,6 +229,9 @@ fn batch_loop(w: Workload, qs: &[Question], seed: u64, seconds: f64) -> BatchLoo
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = BatchLoop {
         passes: Vec::new(),
+        rates: Vec::new(),
+        job_p50_ms: Vec::new(),
+        job_p99_ms: Vec::new(),
         attempted: 0,
         failed: 0,
         correct: 0,
@@ -239,19 +251,24 @@ fn batch_loop(w: Workload, qs: &[Question], seed: u64, seconds: f64) -> BatchLoo
         let jobs = order.iter().map(|&i| qs[i].job()).collect();
         let report = Engine::new(EngineConfig::default()).run(jobs);
         let took = ms(t0.elapsed());
-        if warm {
-            out.first_rss_mb = peak_rss_mb();
-        } else {
-            out.passes.push(took);
-        }
+        let mut correct = 0;
         for (&i, job) in order.iter().zip(&report.jobs) {
             out.attempted += 1;
             match qs[i].check_job(&job.outcome) {
-                Verdict::Correct if !warm => out.correct += 1,
-                Verdict::Correct => {}
+                Verdict::Correct => correct += 1,
                 Verdict::Inconclusive => out.failed += 1,
                 Verdict::Wrong(msg) => abort_wrong(&msg),
             }
+        }
+        if warm {
+            out.first_rss_mb = peak_rss_mb();
+        } else {
+            let mut busy: Vec<f64> = report.jobs.iter().map(|j| ms(j.busy_time)).collect();
+            out.passes.push(took);
+            out.rates.push(correct as f64 / (took / 1e3));
+            out.job_p50_ms.push(median(&mut busy));
+            out.job_p99_ms.push(percentile(&mut busy, 0.99));
+            out.correct += correct;
         }
         warm = false;
     }
@@ -262,10 +279,9 @@ fn batch_loop(w: Workload, qs: &[Question], seed: u64, seconds: f64) -> BatchLoo
 fn batch_untraced(w: Workload, args: &Args) -> Output {
     let qs = questions_for(w, args);
     let mut run = batch_loop(w, &qs, args.seed, args.seconds);
-    let mut passes = run.passes.clone();
     println!(
         "# {} passes of {} jobs, {} verdicts in {:.2} s",
-        passes.len(),
+        run.passes.len(),
         qs.len(),
         run.correct,
         run.measured_s()
@@ -280,8 +296,8 @@ fn batch_untraced(w: Workload, args: &Args) -> Output {
         metrics: vec![
             ("setup_s", median(&mut run.setups), "s"),
             ("verdicts_per_s", run.verdicts_per_s(), "1/s"),
-            ("latency_p50_ms", median(&mut passes), "ms"),
-            ("latency_p99_ms", percentile(&mut passes, 0.99), "ms"),
+            ("latency_p50_ms", median(&mut run.job_p50_ms), "ms"),
+            ("latency_p99_ms", median(&mut run.job_p99_ms), "ms"),
             ("peak_rss_mb", run.peak_rss_mb, "MB"),
         ],
     }
@@ -356,10 +372,9 @@ fn failed(rounds: &[Round]) -> usize {
     rounds.iter().map(|r| r.failed).sum()
 }
 
-/// Correct verdicts per second of measured time.
+/// The median round's correct verdicts per second.
 fn serve_verdicts_per_s(rounds: &[Round]) -> f64 {
-    let correct: usize = rounds.iter().map(|r| r.correct).sum();
-    correct as f64 / rounds.iter().map(|r| r.wall).sum::<f64>()
+    median_of(rounds, |r| r.correct as f64 / r.wall)
 }
 
 fn serve_untraced(args: &Args) -> Output {
