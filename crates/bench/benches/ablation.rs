@@ -3,7 +3,8 @@
 //! heuristic, measured on the surface-code general-verification workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use veriqec::parallel::{check_parallel, ParallelConfig};
+use veriqec::engine::{Engine, Job};
+use veriqec::parallel::SplitConfig;
 use veriqec_bench::surface_problem;
 use veriqec_sat::SolverConfig;
 
@@ -50,16 +51,17 @@ fn bench_et_heuristic(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_et_heuristic");
     group.sample_size(10);
     let (scenario, problem) = surface_problem(5);
+    let engine = Engine::default();
     for (name, threshold) in [("shallow", 6usize), ("paper_et", 14), ("deep", 20)] {
-        let cfg = ParallelConfig {
+        let split = SplitConfig {
             heuristic_distance: 5,
             et_threshold: threshold,
-            ..ParallelConfig::default()
         };
         group.bench_function(format!("d5_{name}"), |b| {
             b.iter(|| {
-                let r = check_parallel(&problem, &scenario.error_vars, &cfg);
-                assert!(r.outcome.is_verified());
+                let job =
+                    Job::correction(name, problem.clone(), scenario.error_vars.clone(), split);
+                assert!(engine.run(vec![job]).jobs[0].outcome.is_verified());
             })
         });
     }

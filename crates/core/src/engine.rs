@@ -1,5 +1,5 @@
-//! The incremental verification engine: persistent solver sessions,
-//! assumption-driven weight sweeps, and the shared batch driver.
+//! The query core and the batch driver: persistent solver sessions, one
+//! `ask` for every whole-job question, and the shared worker pool.
 //!
 //! The paper's workloads are *families* of closely related SAT queries —
 //! distance discovery sweeps a weight threshold, the §6 parallel task sweeps
@@ -13,6 +13,12 @@
 //! * [`CorrectionSweep`] — the same discipline for the general/constrained
 //!   tasks: one [`VcSession`] per (scenario, constraints), weight bounds
 //!   swept as assumptions.
+//! * [`Session`] + [`Session::ask`] — the one way a detection, distance or
+//!   fault-tolerance frontier [`Question`] is asked, and [`count`] its
+//!   decision-diagram counterpart. Both return an [`Answer`]: the outcome,
+//!   the budget-trip reason and the work done. The batch driver and the
+//!   `veriqec_serve` daemon (which pools sessions across requests) both go
+//!   through them, so the stopping and reason rules exist once.
 //! * [`Engine`] — a batch driver owning one worker pool that serves a queue
 //!   of heterogeneous [`Job`]s (code-zoo × error-model × task sweeps,
 //!   including [`JobKind::Count`] failure-enumerator jobs served by the
@@ -387,6 +393,228 @@ impl FaultToleranceFrontier {
     }
 }
 
+// ---------------------------------------------------------------- query core
+
+/// A whole-job question, asked of a [`Session`] with [`Session::ask`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Question {
+    /// Is every logical error of weight in `[1, dt − 1]` detected?
+    /// (detection session)
+    Detection {
+        /// Detection threshold.
+        dt: usize,
+    },
+    /// Distance discovery: `dt = 2, 3, …` up to `max + 1`, stopping at the
+    /// first undetected logical (detection session).
+    Distance {
+        /// Largest weight to sweep.
+        max: usize,
+    },
+    /// Every `(t_data, t_meas)` grid point up to the maxima, in row-major
+    /// order (fault-tolerance session).
+    Frontier {
+        /// Largest data budget (inclusive).
+        max_t_data: usize,
+        /// Largest measurement budget (inclusive).
+        max_t_meas: usize,
+    },
+}
+
+/// What [`Session::ask`] and [`count`] return.
+#[derive(Clone, Debug)]
+pub struct Answer {
+    /// The verdict.
+    pub outcome: JobOutcome,
+    /// Why the outcome is inconclusive (see [`JobReport::reason`]); `None`
+    /// for conclusive outcomes and for a count cancelled by its stop flag.
+    pub reason: Option<String>,
+    /// Solver statistics of the session over its whole life.
+    pub stats: SolverStats,
+    /// Decision-diagram statistics (counts; zero elsewhere).
+    pub dd: DdStats,
+    /// Base encodings (diagram compilations for a count) the session has
+    /// performed.
+    pub encodes: usize,
+    /// Queries the session has answered.
+    pub queries: usize,
+}
+
+impl Answer {
+    /// The budget-reason rule: only an inconclusive outcome has a reason,
+    /// and it is the cause of the first budget trip.
+    fn new(outcome: JobOutcome, first_trip: Option<String>) -> Answer {
+        let reason = if outcome.is_conclusive() {
+            None
+        } else {
+            first_trip
+        };
+        Answer {
+            outcome,
+            reason,
+            stats: SolverStats::default(),
+            dd: DdStats::default(),
+            encodes: 0,
+            queries: 0,
+        }
+    }
+
+    /// Records that a deadline watchdog raised the stop flag: it, not the
+    /// solver's own cause, is what cut an inconclusive outcome short.
+    pub fn deadline_exceeded(&mut self) {
+        if !self.outcome.is_conclusive() {
+            self.reason = Some("deadline_exceeded".to_string());
+        }
+    }
+}
+
+/// An open incremental session: the one way a detection, distance or
+/// frontier [`Question`] is asked, by the batch driver and by the daemon
+/// (which keeps sessions warm across requests) alike.
+#[derive(Debug)]
+pub enum Session {
+    /// Answers detection *and* distance questions (a distance sweep is a
+    /// sequence of detection queries on the same encoding).
+    Detection(Box<DetectionSession>),
+    /// Answers frontier questions.
+    FaultTolerance(Box<FaultToleranceSweep>),
+}
+
+impl Session {
+    /// Opens a detection session for `code` under `rounds` rounds of noisy
+    /// syndrome extraction (0 = perfect extraction).
+    pub fn detection(code: &StabilizerCode, rounds: usize, config: SolverConfig) -> Session {
+        let session = if rounds == 0 {
+            DetectionSession::new(code, config)
+        } else {
+            let schedule =
+                veriqec_codes::ExtractionSchedule::repeated(code.generators().len(), rounds);
+            DetectionSession::with_schedule(code, &schedule, config)
+        };
+        Session::Detection(Box::new(session))
+    }
+
+    /// Answers `question`, aborting in-flight queries once `stop` is
+    /// raised.
+    ///
+    /// A frontier grid ends early only when `stop` is raised: a conflict
+    /// budget counts per solve, so a later grid point can still be decided
+    /// after an earlier one tripped it.
+    ///
+    /// # Panics
+    ///
+    /// When the question is not one this kind of session answers.
+    pub fn ask(&mut self, question: Question, stop: &Arc<AtomicBool>) -> Answer {
+        let _g = veriqec_obs::span("engine", "ask");
+        let (outcome, first_trip) = match (&mut *self, question) {
+            (Session::Detection(s), Question::Detection { dt }) => {
+                s.set_stop_flag(Arc::clone(stop));
+                (JobOutcome::Detection(s.check(dt)), s.unknown_cause())
+            }
+            (Session::Detection(s), Question::Distance { max }) => {
+                s.set_stop_flag(Arc::clone(stop));
+                (
+                    JobOutcome::Distance(s.find_distance(max)),
+                    s.unknown_cause(),
+                )
+            }
+            (
+                Session::FaultTolerance(s),
+                Question::Frontier {
+                    max_t_data,
+                    max_t_meas,
+                },
+            ) => {
+                s.set_stop_flag(Arc::clone(stop));
+                let mut points = Vec::new();
+                let mut first_trip = None;
+                'grid: for td in 0..=max_t_data {
+                    for tm in 0..=max_t_meas {
+                        let correctable = match s.check(td as i64, tm as i64) {
+                            VcOutcome::Verified => Some(true),
+                            VcOutcome::CounterExample(_) => Some(false),
+                            VcOutcome::Unknown => None,
+                        };
+                        points.push(FrontierPoint {
+                            t_data: td,
+                            t_meas: tm,
+                            correctable,
+                        });
+                        if correctable.is_none() {
+                            first_trip = first_trip.or(s.session().unknown_cause());
+                            if stop.load(Ordering::Relaxed) {
+                                break 'grid;
+                            }
+                        }
+                    }
+                }
+                let frontier = FaultToleranceFrontier { points };
+                (JobOutcome::Frontier(frontier), first_trip)
+            }
+            (_, question) => panic!("{question:?} cannot be asked of this session"),
+        };
+        let (stats, encodes, queries) = match self {
+            Session::Detection(s) => (s.solver_stats(), s.encode_count(), s.query_count()),
+            Session::FaultTolerance(s) => (
+                s.session().solver_stats(),
+                s.encode_count(),
+                s.query_count(),
+            ),
+        };
+        Answer {
+            stats,
+            encodes,
+            queries,
+            ..Answer::new(outcome, first_trip.map(|c| c.to_string()))
+        }
+    }
+}
+
+/// Counts the failure weight enumerator of `code` on the decision-diagram
+/// backend: the counting counterpart of [`Session::ask`], shared by
+/// [`JobKind::Count`] jobs and the daemon's count requests. `stop` is
+/// layered on top of the stop flags in `config`. A node-limit trip is an
+/// `Unknown` answer naming the diagram size reached; a raised `stop` is a
+/// `Cancelled` one; a panic inside the backend is an `Unknown` answer with
+/// a `panicked: …` reason.
+pub fn count(code: &StabilizerCode, config: &CompileConfig, stop: &Arc<AtomicBool>) -> Answer {
+    let _g = veriqec_obs::span("engine", "count");
+    let mut config = config.clone();
+    config.stop_flags.push(Arc::clone(stop));
+    contain_panic(|| match FailureEnumerator::new(code, &config) {
+        Ok(mut fe) => {
+            // Count first: the read adds to the diagram statistics.
+            let outcome = JobOutcome::Enumerator(fe.enumerator());
+            Answer {
+                dd: fe.dd_stats(),
+                encodes: fe.compile_count(),
+                queries: fe.query_count(),
+                ..Answer::new(outcome, None)
+            }
+        }
+        // Surface how far the diagram got so a report consumer can tune
+        // the budget.
+        Err(CompileError::NodeLimit { nodes }) => Answer {
+            dd: DdStats {
+                nodes: nodes as u64,
+                ..DdStats::default()
+            },
+            ..Answer::new(
+                JobOutcome::Unknown,
+                Some(format!("node_limit({nodes} nodes)")),
+            )
+        },
+        Err(CompileError::Cancelled) => Answer::new(JobOutcome::Cancelled, None),
+    })
+}
+
+/// Runs `f`, turning a panic into an `Unknown` answer whose reason names it
+/// (the same reason the batch driver records for a panicking work item).
+fn contain_panic(f: impl FnOnce() -> Answer) -> Answer {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Answer::new(JobOutcome::Unknown, Some(panic_reason(payload.as_ref())))
+    })
+}
+
 // -------------------------------------------------------------- batch driver
 
 /// Configuration of the batch [`Engine`].
@@ -438,6 +666,8 @@ pub enum JobKind {
         code: StabilizerCode,
         /// Detection threshold.
         dt: usize,
+        /// Rounds of noisy syndrome extraction (0 = perfect extraction).
+        rounds: usize,
     },
     /// Incremental distance discovery up to `max`.
     Distance {
@@ -445,6 +675,8 @@ pub enum JobKind {
         code: StabilizerCode,
         /// Largest weight to sweep.
         max: usize,
+        /// Rounds of noisy syndrome extraction (0 = perfect extraction).
+        rounds: usize,
     },
     /// Exact failure weight enumerator via the decision-diagram backend
     /// ([`FailureEnumerator`]): compile once, stratify by weight, report
@@ -511,19 +743,27 @@ impl Job {
         }
     }
 
-    /// A single precise-detection job.
+    /// A single precise-detection job under perfect extraction.
     pub fn detection(name: impl Into<String>, code: StabilizerCode, dt: usize) -> Job {
         Job {
             name: name.into(),
-            kind: JobKind::Detection { code, dt },
+            kind: JobKind::Detection {
+                code,
+                dt,
+                rounds: 0,
+            },
         }
     }
 
-    /// An incremental distance-sweep job.
+    /// An incremental distance-sweep job under perfect extraction.
     pub fn distance(name: impl Into<String>, code: StabilizerCode, max: usize) -> Job {
         Job {
             name: name.into(),
-            kind: JobKind::Distance { code, max },
+            kind: JobKind::Distance {
+                code,
+                max,
+                rounds: 0,
+            },
         }
     }
 
@@ -606,17 +846,6 @@ impl JobOutcome {
         matches!(self, JobOutcome::Verified)
     }
 
-    /// Collapses to the sequential driver's [`VcOutcome`] (used by
-    /// [`crate::parallel::check_parallel`]); detection/distance outcomes and
-    /// cancellation map to [`VcOutcome::Unknown`].
-    pub fn into_vc(self) -> VcOutcome {
-        match self {
-            JobOutcome::Verified => VcOutcome::Verified,
-            JobOutcome::CounterExample(m) => VcOutcome::CounterExample(m),
-            _ => VcOutcome::Unknown,
-        }
-    }
-
     /// True when the job ran to a definite verdict. `Unknown`,
     /// `Cancelled`, inconclusive detection/distance outcomes and frontiers
     /// with undecided grid points are *not* conclusive — a batch containing
@@ -632,8 +861,9 @@ impl JobOutcome {
         }
     }
 
-    /// Short machine-readable tag for reports.
-    fn tag(&self) -> &'static str {
+    /// Short machine-readable tag: the `outcome` field of
+    /// [`BatchReport::to_json`] and of the daemon's responses.
+    pub fn tag(&self) -> &'static str {
         match self {
             JobOutcome::Verified => "verified",
             JobOutcome::CounterExample(_) => "counterexample",
@@ -980,7 +1210,9 @@ fn push_metrics_json(out: &mut String, m: &veriqec_obs::MetricsSnapshot) {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// Escapes a string for embedding in a JSON string literal (the one
+/// escaper behind batch reports and the daemon's responses).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -1001,16 +1233,18 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Best-effort text of a panic payload (the `&str`/`String` payloads that
-/// `panic!` and the assert macros produce).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
+/// The reason recorded for a panic: `panicked: ` plus the best-effort text
+/// of its payload (the `&str`/`String` payloads that `panic!` and the
+/// assert macros produce).
+fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
+    let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
         s
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s
     } else {
         "non-string panic payload"
-    }
+    };
+    format!("panicked: {message}")
 }
 
 // ----------------------------------------------------------- the work queue
@@ -1098,6 +1332,20 @@ impl JobState {
         }
     }
 
+    /// Folds a whole job's [`Answer`] into the job. A cancellation mid-job
+    /// is not a result: an inconclusive outcome under a raised cancel flag
+    /// is left unrecorded, so the job reports `Cancelled`.
+    fn record_answer(&self, answer: Answer) {
+        *lock_unpoisoned(&self.stats) += answer.stats;
+        *lock_unpoisoned(&self.dd) += answer.dd;
+        if let Some(reason) = answer.reason {
+            self.record_reason(reason);
+        }
+        if answer.outcome.is_conclusive() || !self.cancel.load(Ordering::Relaxed) {
+            self.record(answer.outcome);
+        }
+    }
+
     /// Records `outcome` unless one is already present — except that a
     /// counterexample always wins over a previously recorded `Unknown`
     /// (another worker's budget exhaustion must not mask a real violation).
@@ -1140,6 +1388,38 @@ fn next_item(states: &[JobState]) -> Option<WorkItem> {
         }
     }
     None
+}
+
+/// Asks a whole job's question of a fresh session (or counts it).
+fn answer_whole(kind: &JobKind, solver: SolverConfig, stop: &Arc<AtomicBool>) -> Answer {
+    match kind {
+        JobKind::Detection { code, dt, rounds } => {
+            Session::detection(code, *rounds, solver).ask(Question::Detection { dt: *dt }, stop)
+        }
+        JobKind::Distance { code, max, rounds } => {
+            Session::detection(code, *rounds, solver).ask(Question::Distance { max: *max }, stop)
+        }
+        JobKind::Count { code, config } => count(code, config, stop),
+        JobKind::FaultTolerance {
+            problem,
+            data_vars,
+            meas_vars,
+            max_t_data,
+            max_t_meas,
+        } => Session::FaultTolerance(Box::new(FaultToleranceSweep::from_problem(
+            problem, data_vars, meas_vars, solver,
+        )))
+        .ask(
+            Question::Frontier {
+                max_t_data: *max_t_data,
+                max_t_meas: *max_t_meas,
+            },
+            stop,
+        ),
+        JobKind::Correction { .. } | JobKind::Custom { .. } => {
+            unreachable!("correction jobs stream cubes; custom jobs run their own callable")
+        }
+    }
 }
 
 /// The shared batch driver: one worker pool serving a queue of heterogeneous
@@ -1383,111 +1663,16 @@ impl Engine {
                 WorkItem::Whole(j) => {
                     let st = &states[j];
                     match &st.kind {
-                        JobKind::Detection { code, dt } => {
-                            let mut s = DetectionSession::new(code, self.config.solver);
-                            s.set_stop_flag(Arc::clone(&st.cancel));
-                            let out = s.check(*dt);
-                            if matches!(out, DetectionOutcome::Inconclusive) {
-                                if let Some(cause) = s.unknown_cause() {
-                                    st.record_reason(cause.to_string());
-                                }
-                            }
-                            *lock_unpoisoned(&st.stats) += s.solver_stats();
-                            st.record(JobOutcome::Detection(out));
-                        }
-                        JobKind::Distance { code, max } => {
-                            let mut s = DetectionSession::new(code, self.config.solver);
-                            s.set_stop_flag(Arc::clone(&st.cancel));
-                            let out = s.find_distance(*max);
-                            if matches!(out, DistanceOutcome::Inconclusive { .. }) {
-                                if let Some(cause) = s.unknown_cause() {
-                                    st.record_reason(cause.to_string());
-                                }
-                            }
-                            *lock_unpoisoned(&st.stats) += s.solver_stats();
-                            st.record(JobOutcome::Distance(out));
-                        }
-                        JobKind::Count { code, config } => {
-                            // Layer the job's cancel flag on top of any
-                            // caller-supplied stop flags.
-                            let mut config = config.clone();
-                            config.stop_flags.push(Arc::clone(&st.cancel));
-                            match FailureEnumerator::new(code, &config) {
-                                Ok(mut fe) => {
-                                    let out = fe.enumerator();
-                                    *lock_unpoisoned(&st.dd) += fe.dd_stats();
-                                    st.record(JobOutcome::Enumerator(out));
-                                }
-                                Err(CompileError::NodeLimit { nodes }) => {
-                                    // Surface how far the diagram got so a
-                                    // report consumer can tune the budget.
-                                    lock_unpoisoned(&st.dd).nodes += nodes as u64;
-                                    st.record_reason(format!("node_limit({nodes} nodes)"));
-                                    st.record(JobOutcome::Unknown);
-                                }
-                                // Cancelled: a real outcome or the cancel
-                                // flag already explains the job; record
-                                // nothing.
-                                Err(CompileError::Cancelled) => {}
-                            }
-                        }
-                        JobKind::FaultTolerance {
-                            problem,
-                            data_vars,
-                            meas_vars,
-                            max_t_data,
-                            max_t_meas,
-                        } => {
-                            let mut sweep = FaultToleranceSweep::from_problem(
-                                problem,
-                                data_vars,
-                                meas_vars,
-                                self.config.solver,
-                            );
-                            sweep.set_stop_flag(Arc::clone(&st.cancel));
-                            let mut points = Vec::new();
-                            'grid: for td in 0..=*max_t_data {
-                                for tm in 0..=*max_t_meas {
-                                    let correctable = match sweep.check(td as i64, tm as i64) {
-                                        VcOutcome::Verified => Some(true),
-                                        VcOutcome::CounterExample(_) => Some(false),
-                                        VcOutcome::Unknown => None,
-                                    };
-                                    points.push(FrontierPoint {
-                                        t_data: td,
-                                        t_meas: tm,
-                                        correctable,
-                                    });
-                                    if correctable.is_none() && st.cancel.load(Ordering::Relaxed) {
-                                        break 'grid;
-                                    }
-                                }
-                            }
-                            *lock_unpoisoned(&st.stats) += sweep.session().solver_stats();
-                            if points.iter().any(|p| p.correctable.is_none()) {
-                                if let Some(cause) = sweep.session().unknown_cause() {
-                                    st.record_reason(cause.to_string());
-                                }
-                            }
-                            // A batch cancellation mid-grid is not a result;
-                            // leaving the outcome empty reports Cancelled.
-                            if !st.cancel.load(Ordering::Relaxed) {
-                                st.record(JobOutcome::Frontier(FaultToleranceFrontier { points }));
-                            }
-                        }
-                        JobKind::Custom { run } => {
-                            let out = (run.0)(&st.cancel);
-                            st.record(out);
-                        }
-                        JobKind::Correction { .. } => {
-                            unreachable!("correction jobs stream cubes")
+                        JobKind::Custom { run } => st.record((run.0)(&st.cancel)),
+                        kind => {
+                            st.record_answer(answer_whole(kind, self.config.solver, &st.cancel))
                         }
                     }
                 }
             });
             if let Err(payload) = std::panic::catch_unwind(work) {
                 let st = &states[idx];
-                st.record_reason(format!("panicked: {}", panic_message(payload.as_ref())));
+                st.record_reason(panic_reason(payload.as_ref()));
                 st.record(JobOutcome::Unknown);
                 // The job's state is suspect: stop handing it work, abort
                 // its in-flight queries on other workers, drop any session
@@ -1854,6 +2039,25 @@ mod tests {
             .to_json()
             .contains("\"reason\":\"panicked: deliberate test panic\""));
         assert!(report.to_markdown().contains("| boom | unknown |"));
+    }
+
+    #[test]
+    fn count_answers_carry_their_work_and_contain_panics() {
+        let stop = Arc::new(AtomicBool::new(false));
+        let answer = count(&steane(), &CompileConfig::default(), &stop);
+        assert!(matches!(answer.outcome, JobOutcome::Enumerator(_)));
+        assert_eq!((answer.encodes, answer.queries), (1, 1));
+        assert!(answer.dd.nodes > 0);
+        stop.store(true, Ordering::Relaxed);
+        let answer = count(&steane(), &CompileConfig::default(), &stop);
+        assert!(matches!(answer.outcome, JobOutcome::Cancelled));
+        assert_eq!(answer.reason, None);
+        let answer = contain_panic(|| panic!("deliberate test panic"));
+        assert!(matches!(answer.outcome, JobOutcome::Unknown));
+        assert_eq!(
+            answer.reason.as_deref(),
+            Some("panicked: deliberate test panic")
+        );
     }
 
     #[test]

@@ -67,6 +67,7 @@ pub struct FailureEnumerator {
     indicators: Vec<(usize, bool)>,
     coefficients: Option<Vec<u128>>,
     compiles: usize,
+    queries: usize,
 }
 
 impl FailureEnumerator {
@@ -122,6 +123,7 @@ impl FailureEnumerator {
             indicators,
             coefficients: None,
             compiles: 1,
+            queries: 0,
         })
     }
 
@@ -133,6 +135,7 @@ impl FailureEnumerator {
     /// Enumerator coefficients by support weight (`0..=max_weight`),
     /// computed on first call and cached.
     pub fn coefficients(&mut self) -> &[u128] {
+        self.queries += 1;
         if self.coefficients.is_none() {
             let w = self
                 .manager
@@ -177,6 +180,12 @@ impl FailureEnumerator {
     /// tests can assert the session never recompiles).
     pub fn compile_count(&self) -> usize {
         self.compiles
+    }
+
+    /// Number of coefficient reads so far (every one after the first is
+    /// served from the cached coefficients).
+    pub(crate) fn query_count(&self) -> usize {
+        self.queries
     }
 }
 

@@ -8,10 +8,12 @@
 //! entailment to classical GF(2) equations (§5.1) and discharges them on the
 //! built-in CDCL solver with the minimum-weight decoder specification `P_f`;
 //! [`engine`] makes query *families* the unit of work — persistent solver
-//! sessions, assumption-driven weight sweeps, and a batch driver whose
-//! worker pool serves heterogeneous jobs; [`parallel`] splits the general
-//! task with the paper's `ET` enumeration heuristic (streamed lazily to that
-//! pool); [`enumerator`] goes beyond the paper's SAT queries to *counting* —
+//! sessions that answer every detection, distance and frontier question
+//! through one [`engine::Session::ask`] (and every count through
+//! [`engine::count`]), assumption-driven weight sweeps, and a batch driver
+//! whose worker pool serves heterogeneous jobs; [`parallel`] splits the
+//! general task with the paper's `ET` enumeration heuristic (streamed lazily
+//! to that pool as correction-job cubes); [`enumerator`] goes beyond the paper's SAT queries to *counting* —
 //! exact failure weight enumerators through the decision-diagram backend
 //! (`veriqec_dd`); [`sampling`] provides the simulation/testing baseline of
 //! the §7.2 comparison. Beyond the paper's perfect-measurement model, the
@@ -46,13 +48,14 @@ pub mod scenario;
 pub mod tasks;
 
 pub use engine::{
-    BatchReport, CorrectionSweep, DetectionSession, Engine, EngineConfig, FaultToleranceFrontier,
-    FaultToleranceSweep, FrontierPoint, Job, JobKind, JobOutcome, JobReport,
+    Answer, BatchReport, CorrectionSweep, DetectionSession, Engine, EngineConfig,
+    FaultToleranceFrontier, FaultToleranceSweep, FrontierPoint, Job, JobKind, JobOutcome,
+    JobReport, Question, Session,
 };
 pub use enumerator::{
     sat_enumerator, sat_enumerator_with_schedule, FailureEnumerator, WeightEnumerator,
 };
-pub use parallel::{check_parallel, ParallelConfig, ParallelReport, SplitConfig, SubtaskIter};
+pub use parallel::{SplitConfig, SubtaskIter};
 pub use sampling::{
     exhaustive_frame_check, faulty_memory_frame, prepare_codeword_state, sample_scenario,
     subsets_up_to, FaultyMemoryFrame, SamplingReport,

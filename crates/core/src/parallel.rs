@@ -1,21 +1,17 @@
-//! The parallel verification driver (§6/§7.1, Appendix D.4).
+//! The `ET` enumeration split of the parallel verification task (§6/§7.1,
+//! Appendix D.4).
 //!
 //! The general task is split into subtasks by enumerating the values of
 //! selected error indicators; enumeration stops when the paper's heuristic
 //! `ET = 2d·N(ones) + N(bits) > threshold` fires, and the residual subtask
 //! goes to a SAT solver. Subtasks are *streamed* from [`SubtaskIter`] — the
-//! exponential enumeration is never materialized — and executed by the
-//! engine's worker pool ([`crate::engine::Engine`]), cancelling on the first
+//! exponential enumeration is never materialized. A
+//! [`crate::engine::JobKind::Correction`] job hands them to the engine's
+//! worker pool ([`crate::engine::Engine::run`]), which cancels on the first
 //! counterexample: the architecture of the paper's 250-core driver, scaled
 //! to a thread count.
 
-use std::time::Duration;
-
 use veriqec_cexpr::VarId;
-use veriqec_sat::{SolverConfig, SolverStats};
-use veriqec_vcgen::{VcOutcome, VcProblem};
-
-use crate::engine::{Engine, EngineConfig, Job};
 
 /// Parameters of the `ET` enumeration split (§6, Appendix D.4).
 #[derive(Clone, Copy, Debug)]
@@ -33,59 +29,6 @@ impl Default for SplitConfig {
             et_threshold: 12,
         }
     }
-}
-
-/// Configuration of the parallel driver.
-#[derive(Clone, Copy, Debug)]
-pub struct ParallelConfig {
-    /// Worker threads.
-    pub workers: usize,
-    /// The `d` in the `ET = 2d·N(ones) + N(bits)` heuristic.
-    pub heuristic_distance: usize,
-    /// Enumeration stops when `ET` exceeds this threshold.
-    pub et_threshold: usize,
-    /// Solver configuration for each subtask.
-    pub solver: SolverConfig,
-}
-
-impl ParallelConfig {
-    /// The enumeration-split part of this configuration.
-    pub fn split(&self) -> SplitConfig {
-        SplitConfig {
-            heuristic_distance: self.heuristic_distance,
-            et_threshold: self.et_threshold,
-        }
-    }
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-            heuristic_distance: 3,
-            et_threshold: 12,
-            solver: SolverConfig::default(),
-        }
-    }
-}
-
-/// Report of a parallel run.
-#[derive(Clone, Debug)]
-pub struct ParallelReport {
-    /// Overall outcome.
-    pub outcome: VcOutcome,
-    /// Number of subtasks issued to workers (on a verified run: the full
-    /// enumeration; on early cancellation: the prefix actually dispatched).
-    pub subtasks: usize,
-    /// Wall-clock time.
-    pub wall_time: Duration,
-    /// Solver statistics summed across all workers (conflicts, decisions,
-    /// propagations, restarts, kept learnt clauses, minimization and
-    /// clause-arena GC counters; `arena_bytes` sums the final footprint of
-    /// every worker session).
-    pub stats: SolverStats,
 }
 
 /// A lazy stream of enumeration subtasks over `enum_vars` using the `ET`
@@ -136,64 +79,23 @@ impl Iterator for SubtaskIter {
     }
 }
 
-/// Enumerates assumption sets over `enum_vars` using the `ET` heuristic,
-/// lazily: the returned iterator yields one subtask at a time instead of
-/// materializing the full (worst-case exponential) enumeration.
-pub fn split_subtasks(enum_vars: &[VarId], config: &ParallelConfig) -> SubtaskIter {
-    SubtaskIter::new(enum_vars.to_vec(), config.split())
-}
-
-/// Solves a [`VcProblem`] by parallel enumeration over `enum_vars` (typically
-/// the error indicators). One-job form of the engine's batch driver
-/// ([`crate::engine::Engine::run`]): subtasks stream lazily to the worker
-/// pool, every worker encodes the base formula once into a persistent
-/// session, and the first counterexample cancels outstanding work — both
-/// between subtasks and *inside* one, via the cooperative solver stop flag.
-pub fn check_parallel(
-    problem: &VcProblem,
-    enum_vars: &[VarId],
-    config: &ParallelConfig,
-) -> ParallelReport {
-    let engine = Engine::new(EngineConfig {
-        workers: config.workers,
-        solver: config.solver,
-    });
-    let batch = engine.run(vec![Job::correction(
-        "check_parallel",
-        problem.clone(),
-        enum_vars.to_vec(),
-        config.split(),
-    )]);
-    let wall_time = batch.wall_time;
-    let job = batch
-        .jobs
-        .into_iter()
-        .next()
-        .expect("one job in, one report out");
-    ParallelReport {
-        outcome: job.outcome.into_vc(),
-        subtasks: job.subtasks,
-        wall_time,
-        stats: job.stats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, EngineConfig, Job, JobOutcome, JobReport};
     use crate::scenario::{memory_scenario, ErrorModel};
     use crate::tasks::build_problem;
     use veriqec_codes::steane;
+    use veriqec_sat::SolverConfig;
 
     #[test]
     fn subtask_split_covers_space() {
         let vars: Vec<VarId> = (0..6).map(VarId).collect();
-        let cfg = ParallelConfig {
+        let split = SplitConfig {
             heuristic_distance: 2,
             et_threshold: 5,
-            ..ParallelConfig::default()
         };
-        let tasks: Vec<_> = split_subtasks(&vars, &cfg).collect();
+        let tasks: Vec<_> = SubtaskIter::new(vars, split).collect();
         // Coverage: total weight of the partial-assignment cylinders is 1.
         let total: f64 = tasks.iter().map(|t| 1.0 / (1u64 << t.len()) as f64).sum();
         assert!((total - 1.0).abs() < 1e-12, "cylinders must partition");
@@ -206,33 +108,38 @@ mod tests {
         // 2^64 subtasks if materialized; the iterator hands out a prefix
         // without ever building that set.
         let vars: Vec<VarId> = (0..64).map(VarId).collect();
-        let cfg = ParallelConfig {
+        let split = SplitConfig {
             heuristic_distance: 1,
             et_threshold: usize::MAX,
-            ..ParallelConfig::default()
         };
-        let prefix: Vec<_> = split_subtasks(&vars, &cfg).take(5).collect();
+        let prefix: Vec<_> = SubtaskIter::new(vars, split).take(5).collect();
         assert_eq!(prefix.len(), 5);
         for t in &prefix {
             assert_eq!(t.len(), 64, "threshold never fires: full assignments");
         }
     }
 
+    /// Runs one correction job split over the scenario's error indicators.
+    fn split_job(t: i64, workers: usize, split: SplitConfig) -> JobReport {
+        let scenario = memory_scenario(&steane(), ErrorModel::YErrors);
+        let problem = build_problem(&scenario, t, vec![]);
+        let engine = Engine::new(EngineConfig {
+            workers,
+            solver: SolverConfig::default(),
+        });
+        let job = Job::correction("steane", problem, scenario.error_vars.clone(), split);
+        engine.run(vec![job]).jobs.remove(0)
+    }
+
     #[test]
     fn parallel_agrees_with_sequential_on_steane() {
         let scenario = memory_scenario(&steane(), ErrorModel::YErrors);
-        let problem = build_problem(&scenario, 1, vec![]);
-        let (seq, _) = problem.check();
-        let par = check_parallel(
-            &problem,
-            &scenario.error_vars,
-            &ParallelConfig {
-                workers: 4,
-                heuristic_distance: 3,
-                et_threshold: 8,
-                ..ParallelConfig::default()
-            },
-        );
+        let (seq, _) = build_problem(&scenario, 1, vec![]).check();
+        let split = SplitConfig {
+            heuristic_distance: 3,
+            et_threshold: 8,
+        };
+        let par = split_job(1, 4, split);
         assert!(seq.is_verified());
         assert!(par.outcome.is_verified());
         assert!(par.subtasks > 1);
@@ -243,9 +150,7 @@ mod tests {
 
     #[test]
     fn parallel_finds_counterexamples() {
-        let scenario = memory_scenario(&steane(), ErrorModel::YErrors);
-        let problem = build_problem(&scenario, 2, vec![]);
-        let par = check_parallel(&problem, &scenario.error_vars, &ParallelConfig::default());
-        assert!(matches!(par.outcome, VcOutcome::CounterExample(_)));
+        let par = split_job(2, 4, SplitConfig::default());
+        assert!(matches!(par.outcome, JobOutcome::CounterExample(_)));
     }
 }

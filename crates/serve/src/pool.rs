@@ -1,12 +1,11 @@
 //! The warm-session pool.
 //!
-//! The PR 3 incremental machinery ([`DetectionSession`],
-//! [`FaultToleranceSweep`]) pays its encoding cost once and answers every
-//! subsequent query by assumptions — but the batch drivers throw sessions
-//! away after each run. The daemon keeps a bounded pool of them keyed by
+//! A [`Session`] pays its encoding cost once and answers every later
+//! question by assumptions — but the batch driver throws sessions away
+//! after each job. The daemon keeps a bounded pool of them keyed by
 //! code + scenario + solver budget, so a repeat query against the same
 //! code skips straight to the assumption query (the smoke test pins this
-//! via the sessions' `encode_count`, which stays at 1 across requests).
+//! via the answers' `encodes`, which stays at 1 across requests).
 //!
 //! Sessions are *checked out* (removed) while in use — two concurrent
 //! requests for the same code simply build a second session rather than
@@ -16,24 +15,14 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 
-use veriqec::engine::{DetectionSession, FaultToleranceSweep};
-
-/// A pooled incremental session.
-#[derive(Debug)]
-pub enum WarmSession {
-    /// Serves detection *and* distance requests (a distance sweep is a
-    /// sequence of detection queries on the same encoding).
-    Detection(Box<DetectionSession>),
-    /// Serves fault-tolerance frontier requests.
-    Frontier(Box<FaultToleranceSweep>),
-}
+use veriqec::engine::Session;
 
 struct Slot {
     seq: u64,
-    session: WarmSession,
+    session: Session,
 }
 
-/// A bounded pool of [`WarmSession`]s keyed by code + scenario + budget.
+/// A bounded pool of idle [`Session`]s keyed by code + scenario + budget.
 #[derive(Default)]
 pub struct SessionPool {
     slots: Mutex<Slots>,
@@ -56,14 +45,14 @@ impl SessionPool {
     }
 
     /// Removes and returns the idle session under `key`, if any.
-    pub fn checkout(&self, key: &str) -> Option<WarmSession> {
+    pub fn checkout(&self, key: &str) -> Option<Session> {
         let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         slots.map.remove(key).map(|s| s.session)
     }
 
     /// Returns a session to the pool; evicts the least-recently-returned
     /// session when full.
-    pub fn checkin(&self, key: String, session: WarmSession) {
+    pub fn checkin(&self, key: String, session: Session) {
         let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         slots.next_seq += 1;
         let seq = slots.next_seq;
@@ -99,14 +88,14 @@ impl SessionPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+    use veriqec::engine::Question;
     use veriqec_codes::steane;
     use veriqec_sat::SolverConfig;
 
-    fn session() -> WarmSession {
-        WarmSession::Detection(Box::new(DetectionSession::new(
-            &steane(),
-            SolverConfig::default(),
-        )))
+    fn session() -> Session {
+        Session::detection(&steane(), 0, SolverConfig::default())
     }
 
     #[test]
@@ -138,20 +127,17 @@ mod tests {
     #[test]
     fn a_reused_detection_session_does_not_re_encode() {
         let pool = SessionPool::new(2);
+        let stop = Arc::new(AtomicBool::new(false));
+        let distance = Question::Distance { max: 4 };
         pool.checkin("det|steane".into(), session());
-        let Some(WarmSession::Detection(mut s)) = pool.checkout("det|steane") else {
-            panic!("expected a detection session");
-        };
-        s.find_distance(4);
-        assert_eq!(s.encode_count(), 1);
-        let queries = s.query_count();
-        assert!(queries > 0);
-        pool.checkin("det|steane".into(), WarmSession::Detection(s));
-        let Some(WarmSession::Detection(mut s)) = pool.checkout("det|steane") else {
-            panic!("expected the same session back");
-        };
-        s.find_distance(4);
-        assert_eq!(s.encode_count(), 1, "warm reuse must not re-encode");
-        assert!(s.query_count() > queries);
+        let mut s = pool.checkout("det|steane").expect("pooled session");
+        let first = s.ask(distance, &stop);
+        assert_eq!(first.encodes, 1);
+        assert!(first.queries > 0);
+        pool.checkin("det|steane".into(), s);
+        let mut s = pool.checkout("det|steane").expect("the same session back");
+        let second = s.ask(distance, &stop);
+        assert_eq!(second.encodes, 1, "warm reuse must not re-encode");
+        assert!(second.queries > first.queries);
     }
 }

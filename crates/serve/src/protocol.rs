@@ -11,6 +11,7 @@
 //! `"node_limit"`, `"deadline_ms"`). Anything the parser rejects becomes a
 //! structured `{"ok":false,"error":…}` response — never a dead connection.
 
+use veriqec::engine::json_escape;
 use veriqec::scenario::ErrorModel;
 use veriqec_codes::{
     c4_422, carbon_12_2_4, cube_color_822, five_qubit, gottesman8, hgp_hamming, reed_muller,
@@ -250,20 +251,6 @@ fn render_id_token(v: &Json) -> Result<String, String> {
         Json::Str(s) => Ok(format!("\"{}\"", json_escape(s))),
         _ => Err("\"id\" must be a number or string".into()),
     }
-}
-
-/// Escapes a string for embedding in a JSON response.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The canonical content string a request's verdict is addressed by:

@@ -13,7 +13,7 @@
 //! drains the pending queue, and joins every thread.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -21,21 +21,22 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use veriqec::engine::{
-    BatchReport, DetectionSession, Engine, EngineConfig, FaultToleranceFrontier,
-    FaultToleranceSweep, FrontierPoint, Job, JobOutcome, JobReport,
+    count, json_escape, BatchReport, FaultToleranceSweep, JobReport, Question, Session,
 };
 use veriqec::scenario::faulty_memory_scenario;
-use veriqec_codes::ExtractionSchedule;
 use veriqec_dd::CompileConfig;
 use veriqec_sat::SolverConfig;
-use veriqec_vcgen::VcOutcome;
 
 use crate::cache::{fnv1a, CacheEntry, ResultCache};
-use crate::pool::{SessionPool, WarmSession};
+use crate::pool::SessionPool;
 use crate::protocol::{
-    canonical_request, json_escape, parse_request, resolve_code, Request, RequestKind,
-    VerifyRequest,
+    canonical_request, parse_request, resolve_code, Request, RequestKind, VerifyRequest,
 };
+
+/// Longest request line read, in bytes including the newline. A longer
+/// line gets a structured error and its connection is closed, so no client
+/// can grow a handler's buffer without limit.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -49,8 +50,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// Executor threads draining the pending queue.
     pub executors: usize,
-    /// Worker threads of the engine each counting job runs on.
-    pub engine_workers: usize,
     /// Admission high-water mark: verification requests beyond this many
     /// pending are shed with a `"busy"` error.
     pub max_pending: usize,
@@ -72,7 +71,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             executors: 2,
-            engine_workers: 2,
             max_pending: 64,
             session_cap: 8,
             cache_cap: 1024,
@@ -99,7 +97,7 @@ pub struct ServeMetrics {
     pub cache_misses: veriqec_obs::metrics::Counter,
     /// Cache misses served by a pooled warm session (no re-encoding).
     pub warm_hits: veriqec_obs::metrics::Counter,
-    /// Cache misses that built a fresh session or engine.
+    /// Cache misses that built a fresh session or ran a count.
     pub cold_builds: veriqec_obs::metrics::Counter,
     /// Requests whose deadline tripped the stop flag.
     pub deadline_trips: veriqec_obs::metrics::Counter,
@@ -314,9 +312,9 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     veriqec_obs::flush_thread();
 }
 
-/// Reads newline-delimited requests off one connection until EOF or
-/// shutdown. Read timeouts keep the thread responsive to the drain flag
-/// without dropping a partially received line.
+/// Reads newline-delimited requests off one connection until EOF, shutdown
+/// or an over-long line. Read timeouts keep the thread responsive to the
+/// drain flag without dropping a partially received line.
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let Ok(write_half) = stream.try_clone() else {
@@ -324,16 +322,22 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     };
     let mut writer = std::io::BufWriter::new(write_half);
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         if shutting_down(shared) {
             return;
         }
-        match reader.read_line(&mut line) {
-            Ok(0) => return,                            // EOF
-            Ok(_) if !line.ends_with('\n') => continue, // timeout mid-line
-            Ok(_) => {
-                let response = handle_line(line.trim(), shared);
+        let room = (MAX_LINE_BYTES - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
+            Ok(0) => return, // EOF
+            Ok(_) if line.ends_with(b"\n") => {
+                let response = match std::str::from_utf8(&line) {
+                    Ok(text) => handle_line(text.trim(), shared),
+                    Err(_) => {
+                        shared.metrics.malformed.add(1);
+                        error_response(None, "request line is not valid UTF-8")
+                    }
+                };
                 line.clear();
                 if writeln!(writer, "{response}")
                     .and_then(|_| writer.flush())
@@ -342,6 +346,14 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                     return;
                 }
             }
+            Ok(_) if line.len() >= MAX_LINE_BYTES => {
+                shared.metrics.malformed.add(1);
+                let msg = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                let _ =
+                    writeln!(writer, "{}", error_response(None, &msg)).and_then(|_| writer.flush());
+                return;
+            }
+            Ok(_) => continue, // timeout mid-line
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -559,181 +571,79 @@ fn handle_verify(pending: Pending, shared: &Arc<Shared>) -> String {
     }
     let job_name = format!("{}:{}", req.kind.tag(), req.code.key());
     let started = Instant::now();
+    let flag = Arc::new(AtomicBool::new(false));
 
-    let (outcome, reason, stats, dd, session_kind, encodes, queries) = match &req.kind {
-        RequestKind::Detection { .. } | RequestKind::Distance { .. } => {
-            let pool_key = format!(
-                "det|{}|r{}|cb{:?}",
-                req.code.key(),
-                req.rounds,
-                req.conflict_budget
-            );
-            let (mut session, warm) = match shared.pool.checkout(&pool_key) {
-                Some(WarmSession::Detection(s)) => (s, true),
-                Some(other) => {
-                    // A mis-keyed session kind is a bug; rebuild cold
-                    // rather than serve the wrong formula.
-                    drop(other);
-                    (build_detection(&code, req.rounds, solver), false)
-                }
-                None => (build_detection(&code, req.rounds, solver), false),
-            };
-            if warm {
-                shared.metrics.warm_hits.add(1);
-            } else {
-                shared.metrics.cold_builds.add(1);
+    let (mut answer, tripped, session_kind) = if let RequestKind::Count = req.kind {
+        let compile = CompileConfig {
+            node_limit: req.node_limit.or(CompileConfig::default().node_limit),
+            ..CompileConfig::default()
+        };
+        shared.metrics.cold_builds.add(1);
+        let guard = DeadlineGuard::arm(deadline, &flag);
+        let answer = count(&code, &compile, &flag);
+        (answer, guard.tripped(), "engine")
+    } else {
+        let (pool_key, question) = match req.kind {
+            RequestKind::Detection { dt } => (detection_key(&req), Question::Detection { dt }),
+            RequestKind::Distance { max } => {
+                let max = max
+                    .or_else(|| code.claimed_distance().map(|d| d + 1))
+                    .unwrap_or(code.n());
+                (detection_key(&req), Question::Distance { max })
             }
-            let flag = Arc::new(AtomicBool::new(false));
-            session.set_stop_flag(Arc::clone(&flag));
-            let guard = DeadlineGuard::arm(deadline, &flag);
-            let outcome = match &req.kind {
-                RequestKind::Detection { dt } => JobOutcome::Detection(session.check(*dt)),
-                RequestKind::Distance { max } => {
-                    let max = max
-                        .or_else(|| code.claimed_distance().map(|d| d + 1))
-                        .unwrap_or(code.n());
-                    JobOutcome::Distance(session.find_distance(max))
-                }
-                _ => unreachable!("outer match arm"),
-            };
-            let tripped = guard.tripped();
-            if tripped {
-                shared.metrics.deadline_trips.add(1);
+            RequestKind::FaultTolerance {
+                max_t_data,
+                max_t_meas,
+            } => (
+                format!(
+                    "ft|{}|{:?}|r{}|cb{:?}",
+                    req.code.key(),
+                    req.model,
+                    req.rounds.max(1),
+                    req.conflict_budget
+                ),
+                Question::Frontier {
+                    max_t_data,
+                    max_t_meas,
+                },
+            ),
+            RequestKind::Count => unreachable!("answered by the count path"),
+        };
+        let (mut session, warm) = match shared.pool.checkout(&pool_key) {
+            Some(session) => (session, true),
+            None if matches!(question, Question::Frontier { .. }) => {
+                let scenario = faulty_memory_scenario(&code, req.model, req.rounds.max(1));
+                let sweep = FaultToleranceSweep::new(&scenario, vec![], solver);
+                (Session::FaultTolerance(Box::new(sweep)), false)
             }
-            let reason = budget_reason(
-                &outcome,
-                tripped,
-                session.unknown_cause().map(|c| c.to_string()),
-            );
-            let stats = session.solver_stats();
-            let (encodes, queries) = (session.encode_count(), session.query_count());
-            shared
-                .pool
-                .checkin(pool_key, WarmSession::Detection(session));
-            let kind = if warm { "warm" } else { "cold" };
-            (
-                outcome,
-                reason,
-                stats,
-                Default::default(),
-                kind,
-                encodes,
-                queries,
-            )
-        }
-        RequestKind::FaultTolerance {
-            max_t_data,
-            max_t_meas,
-        } => {
-            let rounds = req.rounds.max(1);
-            let pool_key = format!(
-                "ft|{}|{:?}|r{}|cb{:?}",
-                req.code.key(),
-                req.model,
-                rounds,
-                req.conflict_budget
-            );
-            let (mut sweep, warm) = match shared.pool.checkout(&pool_key) {
-                Some(WarmSession::Frontier(s)) => (s, true),
-                _ => {
-                    let scenario = faulty_memory_scenario(&code, req.model, rounds);
-                    (
-                        Box::new(FaultToleranceSweep::new(&scenario, vec![], solver)),
-                        false,
-                    )
-                }
-            };
-            if warm {
-                shared.metrics.warm_hits.add(1);
-            } else {
-                shared.metrics.cold_builds.add(1);
-            }
-            let flag = Arc::new(AtomicBool::new(false));
-            sweep.set_stop_flag(Arc::clone(&flag));
-            let guard = DeadlineGuard::arm(deadline, &flag);
-            let mut frontier = FaultToleranceFrontier::default();
-            'grid: for td in 0..=*max_t_data {
-                for tm in 0..=*max_t_meas {
-                    let correctable = match sweep.check(td as i64, tm as i64) {
-                        VcOutcome::Verified => Some(true),
-                        VcOutcome::CounterExample(_) => Some(false),
-                        VcOutcome::Unknown => None,
-                    };
-                    frontier.points.push(FrontierPoint {
-                        t_data: td,
-                        t_meas: tm,
-                        correctable,
-                    });
-                    if correctable.is_none() {
-                        break 'grid;
-                    }
-                }
-            }
-            let outcome = JobOutcome::Frontier(frontier);
-            let tripped = guard.tripped();
-            if tripped {
-                shared.metrics.deadline_trips.add(1);
-            }
-            let reason = budget_reason(
-                &outcome,
-                tripped,
-                sweep.session().unknown_cause().map(|c| c.to_string()),
-            );
-            let stats = sweep.session().solver_stats();
-            let (encodes, queries) = (sweep.encode_count(), sweep.query_count());
-            shared.pool.checkin(pool_key, WarmSession::Frontier(sweep));
-            let kind = if warm { "warm" } else { "cold" };
-            (
-                outcome,
-                reason,
-                stats,
-                Default::default(),
-                kind,
-                encodes,
-                queries,
-            )
-        }
-        RequestKind::Count => {
-            let engine = Engine::new(EngineConfig {
-                workers: shared.config.engine_workers.max(1),
-                solver,
-            });
-            let flag = engine.cancel_flag();
-            let guard = DeadlineGuard::arm(deadline, &flag);
-            let compile = CompileConfig {
-                node_limit: req.node_limit.or(CompileConfig::default().node_limit),
-                ..CompileConfig::default()
-            };
-            let report = engine.run(vec![Job::count_with_config(
-                job_name.clone(),
-                code.clone(),
-                compile,
-            )]);
-            let tripped = guard.tripped();
-            if tripped {
-                shared.metrics.deadline_trips.add(1);
-            }
+            None => (Session::detection(&code, req.rounds, solver), false),
+        };
+        if warm {
+            shared.metrics.warm_hits.add(1);
+        } else {
             shared.metrics.cold_builds.add(1);
-            let job = report.jobs.into_iter().next().expect("one job submitted");
-            let reason = if tripped {
-                Some("deadline_exceeded".to_string())
-            } else {
-                job.reason
-            };
-            (job.outcome, reason, job.stats, job.dd, "engine", 1, 1)
         }
+        let guard = DeadlineGuard::arm(deadline, &flag);
+        let answer = session.ask(question, &flag);
+        let tripped = guard.tripped();
+        shared.pool.checkin(pool_key, session);
+        (answer, tripped, if warm { "warm" } else { "cold" })
     };
+    if tripped {
+        shared.metrics.deadline_trips.add(1);
+        answer.deadline_exceeded();
+    }
 
     let report = BatchReport {
         jobs: vec![JobReport {
             name: job_name,
-            outcome,
+            outcome: answer.outcome,
             subtasks: 1,
             busy_time: started.elapsed(),
             queue_wait,
-            reason,
-            stats,
-            dd,
+            reason: answer.reason,
+            stats: answer.stats,
+            dd: answer.dd,
         }],
         wall_time: started.elapsed(),
         workers: 1,
@@ -741,13 +651,13 @@ fn handle_verify(pending: Pending, shared: &Arc<Shared>) -> String {
     };
     let report_json = report.to_json();
     let job = &report.jobs[0];
-    let outcome_tag = extract_outcome_tag(&report_json);
+    let outcome_tag = job.outcome.tag();
     if job.outcome.is_conclusive() {
         shared.cache.insert(
             key,
             CacheEntry {
                 canonical,
-                outcome: outcome_tag.clone(),
+                outcome: outcome_tag.to_string(),
                 report_json: report_json.clone(),
             },
         );
@@ -755,60 +665,25 @@ fn handle_verify(pending: Pending, shared: &Arc<Shared>) -> String {
     verify_response(
         &req.id,
         key,
-        &outcome_tag,
+        outcome_tag,
         false,
         session_kind,
-        encodes,
-        queries,
+        answer.encodes,
+        answer.queries,
         &report_json,
         job.reason.as_deref(),
     )
 }
 
-fn build_detection(
-    code: &veriqec_codes::StabilizerCode,
-    rounds: usize,
-    solver: SolverConfig,
-) -> Box<DetectionSession> {
-    if rounds == 0 {
-        Box::new(DetectionSession::new(code, solver))
-    } else {
-        let schedule = ExtractionSchedule::repeated(code.generators().len(), rounds);
-        Box::new(DetectionSession::with_schedule(code, &schedule, solver))
-    }
-}
-
-/// The budget-trip reason for an inconclusive outcome: the deadline
-/// watchdog wins over the solver's own cause (the watchdog *is* what
-/// raised the stop flag).
-fn budget_reason(
-    outcome: &JobOutcome,
-    tripped: bool,
-    solver_cause: Option<String>,
-) -> Option<String> {
-    if outcome.is_conclusive() {
-        return None;
-    }
-    if tripped {
-        return Some("deadline_exceeded".to_string());
-    }
-    solver_cause
-}
-
-/// Reads `"outcome":"…"` back out of the rendered report so the envelope
-/// and the cache agree with [`BatchReport::to_json`] byte-for-byte.
-fn extract_outcome_tag(report_json: &str) -> String {
-    crate::json::Json::parse(report_json)
-        .ok()
-        .and_then(|doc| {
-            doc.get("jobs")?
-                .as_arr()?
-                .first()?
-                .get("outcome")?
-                .as_str()
-                .map(str::to_string)
-        })
-        .unwrap_or_else(|| "unknown".to_string())
+/// Pool key of the detection session serving detection and distance
+/// requests: the request's identity minus its per-question parameters.
+fn detection_key(req: &VerifyRequest) -> String {
+    format!(
+        "det|{}|r{}|cb{:?}",
+        req.code.key(),
+        req.rounds,
+        req.conflict_budget
+    )
 }
 
 fn error_response(id: Option<&str>, msg: &str) -> String {
@@ -951,6 +826,178 @@ mod tests {
         assert_eq!(rs[0].get("ok").unwrap().as_bool(), Some(false));
         assert_eq!(rs[0].get("error").unwrap().as_str(), Some("busy"));
         assert_eq!(handle.metrics().count("serve_shed"), 1);
+        handle.shutdown();
+        handle.join().expect("clean join");
+    }
+
+    /// The single job of a response's report.
+    fn report_job(doc: &Json) -> &Json {
+        &doc.get("report")
+            .unwrap()
+            .get("jobs")
+            .unwrap()
+            .as_arr()
+            .unwrap()[0]
+    }
+
+    #[test]
+    fn frontier_matches_the_batch_engine_under_a_conflict_budget() {
+        use veriqec::engine::{Engine, EngineConfig, Job, JobOutcome};
+        use veriqec::scenario::{faulty_memory_scenario, ErrorModel};
+        let budget = 2;
+        let scenario =
+            faulty_memory_scenario(&veriqec_codes::repetition(3), ErrorModel::XErrors, 1);
+        let engine = Engine::new(EngineConfig {
+            workers: 1,
+            solver: SolverConfig {
+                conflict_budget: Some(budget),
+                ..SolverConfig::default()
+            },
+        });
+        let batch = engine.run(vec![Job::fault_tolerance("rep3", &scenario, 2, 2)]);
+        let JobOutcome::Frontier(expected) = &batch.jobs[0].outcome else {
+            panic!("{:?}", batch.jobs[0].outcome);
+        };
+        // The budget must trip on an early point and a later one must
+        // still be decided, or the test pins nothing.
+        let first_trip = expected
+            .points
+            .iter()
+            .position(|p| p.correctable.is_none())
+            .expect("some point trips the budget");
+        assert!(
+            expected.points[first_trip..]
+                .iter()
+                .any(|p| p.correctable.is_some()),
+            "{expected:?}"
+        );
+
+        let handle = Server::start(ServeConfig::default()).expect("bind");
+        let request = format!(
+            r#"{{"kind":"fault_tolerance","code":"repetition_3","model":"x","rounds":1,"max_t_data":2,"max_t_meas":2,"conflict_budget":{budget}}}"#
+        );
+        let rs = roundtrip(handle.addr(), &[&request]);
+        let points: Vec<(f64, f64, Option<bool>)> = report_job(&rs[0])
+            .get("points")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|p| {
+                let num = |k: &str| p.get(k).unwrap().as_f64().unwrap();
+                (
+                    num("t_data"),
+                    num("t_meas"),
+                    p.get("correctable").unwrap().as_bool(),
+                )
+            })
+            .collect();
+        let expected: Vec<(f64, f64, Option<bool>)> = expected
+            .points
+            .iter()
+            .map(|p| (p.t_data as f64, p.t_meas as f64, p.correctable))
+            .collect();
+        assert_eq!(points, expected);
+        assert_eq!(
+            rs[0].get("reason").unwrap().as_str(),
+            batch.jobs[0].reason.as_deref()
+        );
+        handle.shutdown();
+        handle.join().expect("clean join");
+    }
+
+    #[test]
+    fn distance_with_rounds_matches_the_batch_engine() {
+        use veriqec::engine::{Engine, EngineConfig, Job, JobKind, JobOutcome};
+        use veriqec::tasks::DistanceOutcome;
+        let rounds = 1;
+        let job = |rounds| Job {
+            name: "steane".into(),
+            kind: JobKind::Distance {
+                code: veriqec_codes::steane(),
+                max: 4,
+                rounds,
+            },
+        };
+        let batch = Engine::new(EngineConfig {
+            workers: 1,
+            solver: SolverConfig::default(),
+        })
+        .run(vec![job(rounds), job(0)]);
+        let JobOutcome::Distance(DistanceOutcome::Exact(d)) = batch.jobs[0].outcome else {
+            panic!("{:?}", batch.jobs[0].outcome);
+        };
+        // One noisy round lets a measurement flip hide a lighter error.
+        assert!(matches!(
+            batch.jobs[1].outcome,
+            JobOutcome::Distance(DistanceOutcome::Exact(d0)) if d0 != d
+        ));
+        let handle = Server::start(ServeConfig::default()).expect("bind");
+        let request = format!(r#"{{"kind":"distance","code":"steane","max":4,"rounds":{rounds}}}"#);
+        let rs = roundtrip(handle.addr(), &[&request]);
+        assert_eq!(
+            rs[0].get("outcome").unwrap().as_str(),
+            Some("distance_exact")
+        );
+        assert_eq!(
+            report_job(&rs[0]).get("distance").unwrap().as_f64(),
+            Some(d as f64)
+        );
+        handle.shutdown();
+        handle.join().expect("clean join");
+    }
+
+    #[test]
+    fn expired_count_is_cancelled_with_the_deadline_reason() {
+        let handle = Server::start(ServeConfig::default()).expect("bind");
+        let rs = roundtrip(
+            handle.addr(),
+            &[r#"{"kind":"count","code":"five_qubit","deadline_ms":0}"#],
+        );
+        assert_eq!(rs[0].get("outcome").unwrap().as_str(), Some("cancelled"));
+        assert_eq!(
+            rs[0].get("reason").unwrap().as_str(),
+            Some("deadline_exceeded")
+        );
+        assert_eq!(
+            report_job(&rs[0]).get("reason").unwrap().as_str(),
+            Some("deadline_exceeded")
+        );
+        assert_eq!(rs[0].get("encodes").unwrap().as_f64(), Some(0.0));
+        handle.shutdown();
+        handle.join().expect("clean join");
+    }
+
+    #[test]
+    fn over_long_lines_close_the_connection_not_the_server() {
+        let handle = Server::start(ServeConfig::default()).expect("bind");
+        let stream = TcpStream::connect(handle.addr()).expect("connect");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        // Exactly the bound, no newline: the server consumes all of it, so
+        // its close cannot reset the connection before the error arrives.
+        writer
+            .write_all(&vec![b'x'; MAX_LINE_BYTES])
+            .expect("write");
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("read");
+        let doc = Json::parse(response.trim()).expect("response parses");
+        assert_eq!(doc.get("ok").unwrap().as_bool(), Some(false));
+        assert!(doc
+            .get("error")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("longer than"));
+        response.clear();
+        assert_eq!(reader.read_line(&mut response).expect("read"), 0, "closed");
+        // The next connection is served as usual.
+        let rs = roundtrip(
+            handle.addr(),
+            &[r#"{"kind":"detection","code":"five_qubit","dt":3}"#],
+        );
+        assert_eq!(rs[0].get("ok").unwrap().as_bool(), Some(true));
+        assert_eq!(handle.metrics().count("serve_malformed"), 1);
         handle.shutdown();
         handle.join().expect("clean join");
     }

@@ -213,11 +213,18 @@ pub fn run_smoke() -> Result<(), String> {
     )?;
     println!("serve smoke: deadline-exceeded request returned inconclusive with reason");
 
-    // (h) Counting request: rides the engine + decision-diagram backend.
+    // (h) Counting request: the engine's shared count on the
+    // decision-diagram backend, one compile and one read of its
+    // coefficients.
     let r = client.ask(r#"{"id":8,"kind":"count","code":"five_qubit"}"#)?;
     expect(
         field_str(&r, "outcome") == "enumerator",
         "count verdict",
+        &r,
+    )?;
+    expect(
+        field_count(&r, "encodes") == 1.0 && field_count(&r, "queries") == 1.0,
+        "count compiles once and reads its coefficients once",
         &r,
     )?;
     let job = first_job(&r)?;
@@ -226,7 +233,7 @@ pub fn run_smoke() -> Result<(), String> {
         "five-qubit enumerator min weight",
         &r,
     )?;
-    println!("serve smoke: count request answered via the engine (min weight 3)");
+    println!("serve smoke: count request answered via the engine (min weight 3, 1 compile)");
 
     // (i) Fault-tolerance sweep, then a different grid against the same
     // scenario: second request reuses the pooled sweep session.

@@ -6,7 +6,8 @@
 
 use std::time::Instant;
 
-use veriqec::parallel::{check_parallel, ParallelConfig};
+use veriqec::engine::{Engine, Job};
+use veriqec::parallel::SplitConfig;
 use veriqec::scenario::{memory_scenario, ErrorModel};
 use veriqec::tasks::{
     build_problem, discreteness_constraint, locality_constraint, verify_constrained,
@@ -28,7 +29,14 @@ fn main() {
         let scenario = memory_scenario(&code, ErrorModel::YErrors);
         let seq = verify_correction(&scenario, t, SolverConfig::default());
         let problem = build_problem(&scenario, t, vec![]);
-        let par = check_parallel(&problem, &scenario.error_vars, &ParallelConfig::default());
+        let job = Job::correction(
+            "general",
+            problem,
+            scenario.error_vars.clone(),
+            SplitConfig::default(),
+        );
+        let batch = Engine::default().run(vec![job]);
+        let par = &batch.jobs[0];
         println!(
             "d={d} ({} qubits): sequential {:?} in {:?} | parallel ({} subtasks) {:?} in {:?}",
             code.n(),
@@ -36,7 +44,7 @@ fn main() {
             seq.wall_time,
             par.subtasks,
             par.outcome.is_verified(),
-            par.wall_time,
+            batch.wall_time,
         );
     }
 
