@@ -378,11 +378,11 @@ fn dd(quick: bool, baseline: Option<&str>) {
         if quick { " (quick)" } else { "" }
     );
     let report = run_dd_bench(quick);
-    println!("| code | wall ms | allocs | peak live | final | hit rate | gc runs | swaps |");
-    println!("|------|---------|--------|-----------|-------|----------|---------|-------|");
+    println!("| code | wall ms | allocs | peak live | final | hit rate | gc runs |");
+    println!("|------|---------|--------|-----------|-------|----------|---------|");
     for m in &report.metrics {
         println!(
-            "| {} | {:.2} | {} | {} | {} | {:.2} | {} | {} |",
+            "| {} | {:.2} | {} | {} | {} | {:.2} | {} |",
             m.name,
             m.wall_ms,
             m.stats.nodes,
@@ -390,7 +390,6 @@ fn dd(quick: bool, baseline: Option<&str>) {
             m.final_nodes,
             m.stats.cache_hit_rate(),
             m.stats.gc_runs,
-            m.stats.reorder_swaps,
         );
     }
     let artifact = "BENCH_dd.json";

@@ -4,7 +4,7 @@
 //! [`FailureEnumerator`] sessions the engine's counting jobs use — full
 //! projected compilation plus the stratified count — and writes per-code
 //! wall time, node traffic (allocations, peak and final live nodes), apply
-//! cache hit rate, and memory-management telemetry (GC runs, sifting swaps)
+//! cache hit rate, and garbage-collection telemetry (runs, reclaimed nodes)
 //! to `BENCH_dd.json`. Every run re-asserts the enumerator coefficients
 //! against the group-theoretic failure total and the claimed distance, and
 //! the carbon \[\[12,2,4\]\] coefficients bit-for-bit, so the perf gate can
@@ -27,7 +27,7 @@ use crate::kernels::{Regression, TOLERANCE};
 
 /// The carbon code's failure weight enumerator, pinned from the first
 /// release of the counting backend. The dd gate re-asserts it on every run:
-/// any storage, GC, or reordering change that perturbs a single coefficient
+/// any storage, GC, or ordering change that perturbs a single coefficient
 /// fails the build before any timing is compared.
 pub const CARBON_COEFFICIENTS: [u128; 13] =
     [0, 0, 0, 0, 41, 199, 609, 1539, 2991, 4005, 3547, 1937, 492];
@@ -80,11 +80,10 @@ impl DdReport {
                 m.name, m.wall_ms, m.stats.nodes, m.stats.peak_nodes, m.final_nodes,
             ));
             out.push_str(&format!(
-                ",\"hit_rate\":{:.4},\"gc_runs\":{},\"gc_reclaimed\":{},\"reorder_swaps\":{},\"arena_bytes\":{}",
+                ",\"hit_rate\":{:.4},\"gc_runs\":{},\"gc_reclaimed\":{},\"arena_bytes\":{}",
                 m.stats.cache_hit_rate(),
                 m.stats.gc_runs,
                 m.stats.gc_reclaimed,
-                m.stats.reorder_swaps,
                 m.stats.arena_bytes,
             ));
             out.push_str(&format!(",\"coefficients\":{:?}}}", m.coefficients));
@@ -229,7 +228,6 @@ mod tests {
                 cache_hits: 400,
                 gc_runs: 2,
                 gc_reclaimed: 500,
-                reorder_swaps: 30,
                 arena_bytes: 12_000,
                 ..DdStats::default()
             },
@@ -251,7 +249,6 @@ mod tests {
         assert_eq!(codes[0].get("peak_nodes").unwrap().as_f64(), Some(4_000.0));
         assert_eq!(codes[0].get("hit_rate").unwrap().as_f64(), Some(0.4));
         assert_eq!(codes[0].get("gc_runs").unwrap().as_f64(), Some(2.0));
-        assert_eq!(codes[0].get("reorder_swaps").unwrap().as_f64(), Some(30.0));
         let coeffs = codes[0].get("coefficients").unwrap().as_arr().unwrap();
         assert_eq!(coeffs.len(), 3);
         assert_eq!(coeffs[2].as_f64(), Some(2.0));

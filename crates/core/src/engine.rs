@@ -943,11 +943,6 @@ const MD_COLUMNS: &[MdColumn] = &[
         metric: "dd_gc_runs",
         style: ColStyle::Count,
     },
-    MdColumn {
-        header: "dd swaps",
-        metric: "dd_reorder_swaps",
-        style: ColStyle::Count,
-    },
 ];
 
 /// Per-job result within a [`BatchReport`].

@@ -5,10 +5,9 @@
 //! Nodes live in one struct-of-arrays arena owned by a [`BddManager`]
 //! (see [`crate::arena`]); structural sharing is enforced by an
 //! open-addressing unique table, so semantic equality of functions is
-//! pointer equality of [`Bdd`] handles. The manager fixes a variable order
-//! at construction ([`BddManager::with_order`] is the ordering hook used by
-//! the CNF compiler's heuristics) which the sifting reorderer
-//! ([`crate::reorder`]) may later permute in place; levels run top (0) to
+//! pointer equality of [`Bdd`] handles. The manager fixes its variable
+//! order at construction ([`BddManager::with_order`]; the CNF compiler
+//! passes the first-use order) and never changes it; levels run top (0) to
 //! bottom (`num_vars − 1`), with the terminals on the sentinel level
 //! `u32::MAX`.
 //!
@@ -28,9 +27,8 @@ use crate::compile::CompileError;
 ///
 /// Handles are canonical: two handles are equal iff they denote the same
 /// boolean function (under the manager's variable order). Handles are
-/// stable across [`BddManager::reorder_sift`] (sifting rewrites nodes in place)
-/// but are renumbered by [`BddManager::collect_garbage`] — hold them
-/// through a collection via the root registry ([`BddManager::protect`]).
+/// renumbered by [`BddManager::collect_garbage`] — hold them through a
+/// collection via the root registry ([`BddManager::protect`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Bdd(pub(crate) u32);
 
@@ -96,8 +94,6 @@ pub struct DdStats {
     pub gc_runs: u64,
     /// Decision nodes reclaimed across all collections.
     pub gc_reclaimed: u64,
-    /// Adjacent-level swaps performed by the sifting reorderer.
-    pub reorder_swaps: u64,
     /// Resident bytes across the arena, unique table and apply cache.
     pub arena_bytes: u64,
 }
@@ -147,7 +143,6 @@ impl DdStats {
         m.push_value("dd_load_factor", self.unique_load_factor());
         m.push_count("dd_gc_runs", self.gc_runs);
         m.push_count("dd_gc_reclaimed", self.gc_reclaimed);
-        m.push_count("dd_reorder_swaps", self.reorder_swaps);
         m.push_count("dd_arena_bytes", self.arena_bytes);
         m
     }
@@ -166,7 +161,6 @@ impl std::ops::AddAssign for DdStats {
         self.unique_slots += rhs.unique_slots;
         self.gc_runs += rhs.gc_runs;
         self.gc_reclaimed += rhs.gc_reclaimed;
-        self.reorder_swaps += rhs.reorder_swaps;
         self.arena_bytes += rhs.arena_bytes;
     }
 }
@@ -226,18 +220,18 @@ enum EFrame {
 /// ```
 #[derive(Clone, Debug)]
 pub struct BddManager {
-    pub(crate) arena: NodeArena,
+    arena: NodeArena,
     /// `(level, lo, hi) → node`, the hash-consing table.
-    pub(crate) unique: UniqueTable,
+    unique: UniqueTable,
     /// `(op, a, b) → result`, lossy, with commutative operands normalized.
-    pub(crate) cache: ApplyCache,
+    cache: ApplyCache,
     /// `var → level` (a permutation of `0..num_vars`).
-    pub(crate) var_to_level: Vec<u32>,
+    var_to_level: Vec<u32>,
     /// `level → var`, the inverse permutation.
-    pub(crate) level_to_var: Vec<u32>,
+    level_to_var: Vec<u32>,
     /// GC roots: handles held by callers across collections.
-    pub(crate) roots: Vec<Option<u32>>,
-    pub(crate) stats: DdStats,
+    roots: Vec<Option<u32>>,
+    stats: DdStats,
     // Scratch stacks reused across iterative traversals.
     apply_frames: Vec<Frame>,
     apply_results: Vec<u32>,
@@ -253,8 +247,8 @@ impl BddManager {
     }
 
     /// A manager with an explicit order: `var_to_level[v]` is the level of
-    /// variable `v` (level 0 is the root end). This is the ordering hook the
-    /// CNF compiler's heuristics target.
+    /// variable `v` (level 0 is the root end). The CNF compiler passes its
+    /// first-use order here.
     ///
     /// # Panics
     ///
@@ -289,8 +283,7 @@ impl BddManager {
         self.var_to_level.len()
     }
 
-    /// The level of variable `v` under the manager's *current* order
-    /// (sifting may move it).
+    /// The level of variable `v` under the manager's order.
     pub fn level_of(&self, v: usize) -> u32 {
         self.var_to_level[v]
     }
@@ -550,8 +543,7 @@ impl BddManager {
     }
 
     /// The iterative quantification loop; memoized through the shared
-    /// apply cache under an `Exists` tag keyed by *variable id* (not
-    /// level), so entries stay valid across sifting.
+    /// apply cache under an `Exists` tag keyed by variable id.
     fn exists_iter(
         &mut self,
         f: u32,
@@ -715,32 +707,25 @@ impl BddManager {
         if reclaimed == 0 {
             return 0;
         }
-        // Pass 1: assign compacted indices (order-preserving). Children do
-        // not necessarily precede parents once sifting has rewritten nodes
-        // in place, so the full remap must exist before any node moves.
+        // One order-preserving pass: a node is pushed after its children
+        // and compaction keeps the order, so children always precede
+        // parents and a survivor's children are remapped before it moves
+        // down (destination ≤ source, read before overwritten).
         let mut remap = vec![u32::MAX; len];
         remap[0] = 0;
         remap[1] = 1;
-        let mut next = 2u32;
-        for (idx, slot) in remap.iter_mut().enumerate().skip(2) {
-            if marks[idx / 64] & (1 << (idx % 64)) != 0 {
-                *slot = next;
-                next += 1;
-            }
-        }
-        // Pass 2: move survivors down (destination ≤ source, and every
-        // source is read before anything at or above it is overwritten).
+        let mut next = 2usize;
         for idx in 2..len {
-            let n = remap[idx];
-            if n == u32::MAX {
+            if marks[idx / 64] & (1 << (idx % 64)) == 0 {
                 continue;
             }
-            let n = n as usize;
-            self.arena.levels[n] = self.arena.levels[idx];
-            self.arena.los[n] = remap[self.arena.los[idx] as usize];
-            self.arena.his[n] = remap[self.arena.his[idx] as usize];
+            remap[idx] = next as u32;
+            self.arena.levels[next] = self.arena.levels[idx];
+            self.arena.los[next] = remap[self.arena.los[idx] as usize];
+            self.arena.his[next] = remap[self.arena.his[idx] as usize];
+            next += 1;
         }
-        self.arena.truncate(next as usize);
+        self.arena.truncate(next);
         self.unique.rebuild(&self.arena);
         self.cache.clear();
         for r in self.roots.iter_mut().flatten() {
@@ -811,20 +796,21 @@ impl BddManager {
             marker[l] = Mark::Ind(positive);
         }
         let width = indicators.len() + 1;
-        let poly = self.count_iter(f.0, &marker, width);
-        lift(poly, 0, self.cut_level(f.0), &marker, width)
+        let levels = CountLevels::new(marker);
+        let poly = self.count_iter(f.0, &levels, width);
+        levels.lift(poly, 0, self.cut_level(f.0))
     }
 
     /// The level of `f` clamped to the counting range (terminals sit on
-    /// the sentinel level, but [`lift`] iterates real levels only).
+    /// the sentinel level, past the last prefix count).
     fn cut_level(&self, f: u32) -> u32 {
         self.level(f).min(self.num_vars() as u32)
     }
 
     /// Iterative bottom-up weight polynomial of `f` over the levels
     /// `level(f)..num_vars` (levels above `f`'s root are the caller's to
-    /// account for via [`lift`]). Memoized per arena index.
-    fn count_iter(&self, f: u32, marker: &[Mark], width: usize) -> Vec<u128> {
+    /// account for via [`CountLevels::lift`]). Memoized per arena index.
+    fn count_iter(&self, f: u32, levels: &CountLevels, width: usize) -> Vec<u128> {
         if f == 0 {
             return vec![0; width];
         }
@@ -866,23 +852,11 @@ impl BddManager {
                 CFrame::Build(g) => {
                     let level = self.level(g);
                     let (lo, hi) = (self.arena.los[g as usize], self.arena.his[g as usize]);
-                    let lo_p = lift(
-                        poly_of(&memo, lo),
-                        level + 1,
-                        self.cut_level(lo),
-                        marker,
-                        width,
-                    );
-                    let hi_p = lift(
-                        poly_of(&memo, hi),
-                        level + 1,
-                        self.cut_level(hi),
-                        marker,
-                        width,
-                    );
+                    let lo_p = levels.lift(poly_of(&memo, lo), level + 1, self.cut_level(lo));
+                    let hi_p = levels.lift(poly_of(&memo, hi), level + 1, self.cut_level(hi));
                     let mut p = vec![0u128; width];
                     for w in 0..width {
-                        let (lo_w, hi_w) = match marker[level as usize] {
+                        let (lo_w, hi_w) = match levels.marks[level as usize] {
                             // Indicator satisfied on the hi edge: hi models
                             // shift up one weight; dually for a negative
                             // indicator.
@@ -963,39 +937,67 @@ pub(crate) enum Mark {
     Ind(bool),
 }
 
-/// Accounts for the free variables at levels `from..to`: a counted level
-/// doubles every coefficient, an indicator level convolves with `(1 + x)`
-/// (the free variable contributes weight 0 or 1), a projected-out level
-/// contributes nothing.
-pub(crate) fn lift(
-    mut p: Vec<u128>,
-    from: u32,
-    to: u32,
-    marker: &[Mark],
-    width: usize,
-) -> Vec<u128> {
-    for level in from..to {
-        match marker[level as usize] {
-            Mark::Ind(_) => {
-                let mut next = vec![0u128; width];
-                for w in 0..width {
-                    let mut c = p[w];
-                    if w > 0 {
-                        c = c.checked_add(p[w - 1]).expect("model count overflows u128");
-                    }
-                    next[w] = c;
-                }
-                p = next;
+/// The levels of one count: each level's [`Mark`] plus prefix counts of
+/// the counted and indicator levels, built once per
+/// [`BddManager::weight_count_over`] so that lifting a polynomial past a
+/// run of free levels never walks the run.
+struct CountLevels {
+    marks: Vec<Mark>,
+    /// `before[l]` = (counted, indicator) levels among `0..l`, for
+    /// `l ∈ 0..=num_vars`.
+    before: Vec<(u32, u32)>,
+}
+
+impl CountLevels {
+    fn new(marks: Vec<Mark>) -> Self {
+        let mut before = Vec::with_capacity(marks.len() + 1);
+        let (mut counted, mut inds) = (0u32, 0u32);
+        before.push((0, 0));
+        for m in &marks {
+            match m {
+                Mark::Count => counted += 1,
+                Mark::Ind(_) => inds += 1,
+                Mark::Skip => {}
             }
-            Mark::Count => {
-                for c in &mut p {
-                    *c = c.checked_mul(2).expect("model count overflows u128");
-                }
-            }
-            Mark::Skip => {}
+            before.push((counted, inds));
         }
+        CountLevels { marks, before }
     }
-    p
+
+    /// Accounts for the free variables at levels `from..to`: a counted
+    /// level doubles every coefficient, an indicator level convolves with
+    /// `(1 + x)` (the free variable contributes weight 0 or 1), a
+    /// projected-out level contributes nothing — so the run multiplies `p`
+    /// by `2^c · (1 + x)^k` for its `c` counted and `k` indicator levels.
+    /// `k` is below the width, so the cost is independent of the run's
+    /// length.
+    ///
+    /// # Panics
+    ///
+    /// Panics exactly when a resulting coefficient exceeds `u128`: every
+    /// intermediate value is bounded by a final coefficient, and zero
+    /// terms are never scaled.
+    fn lift(&self, mut p: Vec<u128>, from: u32, to: u32) -> Vec<u128> {
+        if p.iter().all(|&c| c == 0) {
+            return p;
+        }
+        let (c0, k0) = self.before[from as usize];
+        let (c1, k1) = self.before[to as usize];
+        for _ in k0..k1 {
+            for w in (1..p.len()).rev() {
+                p[w] = p[w]
+                    .checked_add(p[w - 1])
+                    .expect("model count overflows u128");
+            }
+        }
+        let scale = 1u128.checked_shl(c1 - c0);
+        for c in p.iter_mut().filter(|c| **c != 0) {
+            *c = scale
+                .and_then(|s| c.checked_mul(s))
+                .expect("model count overflows u128");
+        }
+        p
+    }
 }
 
 #[cfg(test)]
@@ -1249,6 +1251,20 @@ mod tests {
         // A raised flag aborts as soon as the first poll fires.
         let err = m.xor_budgeted(f, g, &budget).unwrap_err();
         assert_eq!(err, CompileError::Cancelled);
+    }
+
+    #[test]
+    fn lifting_zero_over_many_counted_levels_stays_zero() {
+        // 2^200 exceeds u128, but zero coefficients are never scaled.
+        let levels = CountLevels::new(vec![Mark::Count; 200]);
+        assert_eq!(levels.lift(vec![0; 3], 0, 200), vec![0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u128")]
+    fn lifting_nonzero_over_130_counted_levels_overflows() {
+        let levels = CountLevels::new(vec![Mark::Count; 130]);
+        let _ = levels.lift(vec![1, 0], 0, 130);
     }
 
     #[test]

@@ -1,21 +1,21 @@
-//! The pre-arena BDD manager, retained verbatim as a differential oracle.
+//! The pre-arena BDD manager, retained as a test-only differential oracle.
 //!
 //! This is the naive hash-cons design the packed-arena kernel replaced: a
 //! SipHash `HashMap` unique table, an unbounded `HashMap` apply cache, and
-//! recursive `apply`/`exists`/`count`. It is deliberately boring — no GC,
-//! no reordering, no budgets — which is exactly what makes it a trustworthy
-//! reference: the proptests in `lib.rs` compile random CNFs through both
-//! kernels (with GC and sifting enabled on the fast one) and demand
+//! recursive `apply`/`exists`/`count` with a level-by-level [`lift`]. It is
+//! deliberately boring — no GC, no budgets — which is exactly what makes it
+//! a trustworthy reference: the proptests in `lib.rs` compile random CNFs
+//! through both kernels (with GC enabled on the fast one) and demand
 //! identical counts.
 //!
-//! Not exported for production use; the enumerator and engine build on
+//! Compiled only for tests; the enumerator and engine build on
 //! [`crate::BddManager`].
 
 use std::collections::HashMap;
 
 use veriqec_sat::{Cnf, Lit};
 
-use crate::bdd::{lift, Mark};
+use crate::bdd::Mark;
 
 /// A handle into an [`OracleManager`] (a separate type from [`crate::Bdd`]
 /// so the two kernels' handles cannot be mixed up in differential tests).
@@ -98,12 +98,6 @@ impl OracleManager {
     /// Number of variables in the order.
     pub fn num_vars(&self) -> usize {
         self.var_to_level.len()
-    }
-
-    /// Decision nodes allocated (terminals excluded; nothing is ever
-    /// reclaimed here).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len() - 2
     }
 
     fn level(&self, f: OBdd) -> u32 {
@@ -313,6 +307,34 @@ impl OracleManager {
         memo.insert(f, p.clone());
         p
     }
+}
+
+/// Accounts for the free variables at levels `from..to`, one level at a
+/// time: a counted level doubles every coefficient, an indicator level
+/// convolves with `(1 + x)`, a projected-out level contributes nothing.
+fn lift(mut p: Vec<u128>, from: u32, to: u32, marker: &[Mark], width: usize) -> Vec<u128> {
+    for level in from..to {
+        match marker[level as usize] {
+            Mark::Ind(_) => {
+                let mut next = vec![0u128; width];
+                for w in 0..width {
+                    let mut c = p[w];
+                    if w > 0 {
+                        c = c.checked_add(p[w - 1]).expect("model count overflows u128");
+                    }
+                    next[w] = c;
+                }
+                p = next;
+            }
+            Mark::Count => {
+                for c in &mut p {
+                    *c = c.checked_mul(2).expect("model count overflows u128");
+                }
+            }
+            Mark::Skip => {}
+        }
+    }
+    p
 }
 
 /// Projected CNF compilation through the oracle kernel, mirroring

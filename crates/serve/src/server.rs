@@ -2,15 +2,16 @@
 //! and the verification paths behind one request.
 //!
 //! Threading model: one accept thread (non-blocking, polling the shutdown
-//! flag), one handler thread per connection (reads lines, answers cache
-//! hits and control ops inline, enqueues verification work), and a small
-//! executor pool draining the bounded pending queue. Admission control is
-//! the queue bound: past the high-water mark new work is shed with a
-//! `"busy"` error instead of being buffered without limit. Deadlines are
-//! lowered onto the sessions' cooperative stop flags by a per-request
-//! watchdog thread. Shutdown (a `{"op":"shutdown"}` request, SIGTERM when
-//! installed, or [`ServerHandle::shutdown`]) stops the accept loop,
-//! drains the pending queue, and joins every thread.
+//! flag), one handler thread per connection, at most `MAX_CONNECTIONS`
+//! of them (reads lines, answers cache hits and control ops inline,
+//! enqueues verification work), and a small executor pool draining the
+//! bounded pending queue. Admission control is the queue bound: past the
+//! high-water mark new work is shed with a `"busy"` error instead of being
+//! buffered without limit. Deadlines are lowered onto the sessions'
+//! cooperative stop flags by a per-request watchdog thread. Shutdown (a
+//! `{"op":"shutdown"}` request, SIGTERM when installed, or
+//! [`ServerHandle::shutdown`]) stops the accept loop, drains the pending
+//! queue, and joins every thread.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -37,6 +38,11 @@ use crate::protocol::{
 /// line gets a structured error and its connection is closed, so no client
 /// can grow a handler's buffer without limit.
 const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Most connections served at once, one handler thread each. A connection
+/// past the cap, or one whose handler thread cannot be spawned, gets one
+/// `"busy"` error line and is closed; the accept loop keeps running.
+const MAX_CONNECTIONS: usize = 64;
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -287,15 +293,28 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     while !shutting_down(shared) {
         match listener.accept() {
             Ok((stream, _)) => {
+                handlers.retain(|h| !h.is_finished());
+                if handlers.len() >= MAX_CONNECTIONS {
+                    refuse_busy(&stream);
+                    continue;
+                }
+                // Kept to answer "busy" if the spawn fails and drops `stream`.
+                let Ok(refusal) = stream.try_clone() else {
+                    refuse_busy(&stream);
+                    continue;
+                };
                 let shared = Arc::clone(shared);
-                let h = std::thread::Builder::new()
-                    .name("serve-conn".into())
-                    .spawn(move || {
-                        handle_connection(stream, &shared);
-                        veriqec_obs::flush_thread();
-                    })
-                    .expect("spawn connection handler");
-                handlers.push(h);
+                let spawned =
+                    std::thread::Builder::new()
+                        .name("serve-conn".into())
+                        .spawn(move || {
+                            handle_connection(stream, &shared);
+                            veriqec_obs::flush_thread();
+                        });
+                match spawned {
+                    Ok(h) => handlers.push(h),
+                    Err(_) => refuse_busy(&refusal),
+                }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(20));
@@ -310,6 +329,12 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
         let _ = h.join();
     }
     veriqec_obs::flush_thread();
+}
+
+/// Answers a connection the server will not serve with one `"busy"` error
+/// line; dropping the stream then closes it.
+fn refuse_busy(stream: &TcpStream) {
+    let _ = writeln!(&*stream, "{}", error_response(None, "busy"));
 }
 
 /// Reads newline-delimited requests off one connection until EOF, shutdown
@@ -998,6 +1023,62 @@ mod tests {
         );
         assert_eq!(rs[0].get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(handle.metrics().count("serve_malformed"), 1);
+        handle.shutdown();
+        handle.join().expect("clean join");
+    }
+
+    #[test]
+    fn connections_past_the_cap_get_busy_and_are_closed() {
+        let handle = Server::start(ServeConfig::default()).expect("bind");
+        let mut idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(handle.addr()).expect("connect"))
+            .collect();
+        // Connections are accepted in order, so this one finds every
+        // handler slot taken.
+        let extra = TcpStream::connect(handle.addr()).expect("connect");
+        extra
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let mut reader = BufReader::new(extra);
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("busy line");
+        let doc = Json::parse(response.trim()).expect("response parses");
+        assert_eq!(doc.get("ok").unwrap().as_bool(), Some(false));
+        assert_eq!(doc.get("error").unwrap().as_str(), Some("busy"));
+        response.clear();
+        assert_eq!(reader.read_line(&mut response).expect("read"), 0, "closed");
+        // Closing one connection frees its slot once its handler exits. A
+        // refused probe reads "busy" at once; an accepted one reads nothing
+        // until it sends a request, which is then served.
+        drop(idle.pop());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let served = loop {
+            let probe = TcpStream::connect(handle.addr()).expect("connect");
+            probe
+                .set_read_timeout(Some(Duration::from_millis(200)))
+                .expect("timeout");
+            let mut reader = BufReader::new(probe.try_clone().expect("clone"));
+            let mut line = String::new();
+            match reader.read_line(&mut line) {
+                Ok(n) if n > 0 => assert!(line.contains("busy"), "{line}"),
+                _ => break (probe, reader),
+            }
+            assert!(Instant::now() < deadline, "the freed slot was never reused");
+        };
+        let (mut probe, mut reader) = served;
+        probe
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        writeln!(
+            probe,
+            r#"{{"kind":"detection","code":"five_qubit","dt":3}}"#
+        )
+        .expect("write");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read");
+        let doc = Json::parse(line.trim()).expect("response parses");
+        assert_eq!(doc.get("ok").unwrap().as_bool(), Some(true));
+        drop(idle);
         handle.shutdown();
         handle.join().expect("clean join");
     }
