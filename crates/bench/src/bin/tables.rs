@@ -1,7 +1,7 @@
 //! Regenerates the paper's evaluation tables/figure data as markdown (plus
 //! machine-readable JSON batch reports from the engine).
 //!
-//! Usage: `cargo run -p veriqec_bench --bin tables --release -- [fig4|fig6|fig7|table3|table4|stim|enumerators|fault_tolerance|kernels|solver|dd|quick|all] [max_d] [--trace out.json] [--progress]`
+//! Usage: `cargo run -p veriqec_bench --bin tables --release -- [fig4|fig6|fig7|table3|table4|stim|enumerators|fault_tolerance|gate|serve|quick|all] [max_d] [--trace out.json] [--progress]`
 //!
 //! `quick` is the CI smoke mode: a small heterogeneous batch (correction +
 //! detection + distance jobs on small codes) through the engine's shared
@@ -14,19 +14,18 @@
 //! repeated-measurement result symbolically *and* by exhaustive
 //! frame-sampling, and writes `BENCH_fault_tolerance.json`.
 //!
-//! `kernels` measures the hot GF(2) kernels (widened XOR chains, branch
-//! resolution, batch-vs-sequential frame sampling) and writes
-//! `BENCH_kernels.json`. `solver` measures CDCL throughput
-//! (propagations/sec, conflicts/sec) on pinned pure-SAT and zoo instances
-//! and writes `BENCH_solver.json`. `dd` measures decision-diagram
-//! compile-and-count sessions on pinned codes (coefficients re-asserted)
-//! and writes `BENCH_dd.json`. All three take `--quick` for the CI subset
-//! and `--check <baseline.json>` to gate against a checked-in baseline —
-//! the process exits nonzero if any median regresses beyond the tolerance
-//! or a throughput floor is violated.
+//! `gate` is the CI perf gate: it measures the hot GF(2), reduction and
+//! frame kernels, CDCL throughput on pinned pure-SAT and zoo instances,
+//! and decision-diagram compile-and-count sessions on pinned codes
+//! (verdicts and coefficients re-asserted), and writes every number as a
+//! `{layer, workload, metric, value, unit, better}` row of one
+//! `BENCH_gate.json`. It takes `--quick` for the CI subset and `--check
+//! <baseline.json>` to gate the rows against a checked-in baseline — the
+//! process exits nonzero if any row is more than 3x worse than its
+//! baseline in its `better` direction.
 //!
 //! The smoke modes (`quick`, `enumerators --quick`, `fault_tolerance
-//! --quick`, `kernels --check`) exit nonzero on any inconclusive or
+//! --quick`, `gate --check`) exit nonzero on any inconclusive or
 //! cancelled job so CI fails on partial batches, after the artifacts are
 //! written; each incomplete job is listed with its budget-trip reason
 //! (`conflict_budget`, `node_limit(…)`, `interrupted`, `cancelled`).
@@ -76,7 +75,7 @@ static REQUIRED_CATS: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
 /// The operand of a value-taking flag (`--check <path>`, `--trace <path>`,
 /// …): `None` when the flag is absent, the operand otherwise. A missing or
 /// flag-shaped operand is a usage error and exits 2 — silently consuming
-/// the next flag as a value (`tables kernels --check --trace out.json`
+/// the next flag as a value (`tables gate --check --trace out.json`
 /// reading `--trace` as the baseline path) is exactly the bug this
 /// replaces.
 fn flag_value(flag: &str) -> Option<String> {
@@ -194,22 +193,11 @@ fn dispatch() {
         fault_tolerance(std::env::args().any(|a| a == "--quick"));
         return;
     }
-    if what == "kernels" {
-        let quick = std::env::args().any(|a| a == "--quick");
-        let baseline = flag_value("--check");
-        kernels(quick, baseline.as_deref());
-        return;
-    }
-    if what == "solver" {
-        let quick = std::env::args().any(|a| a == "--quick");
-        let baseline = flag_value("--check");
-        solver(quick, baseline.as_deref());
-        return;
-    }
-    if what == "dd" {
-        let quick = std::env::args().any(|a| a == "--quick");
-        let baseline = flag_value("--check");
-        dd(quick, baseline.as_deref());
+    if what == "gate" {
+        gate(
+            std::env::args().any(|a| a == "--quick"),
+            flag_value("--check").as_deref(),
+        );
         return;
     }
     if what == "serve" {
@@ -218,6 +206,15 @@ fn dispatch() {
             flag_value("--addr"),
         );
         return;
+    }
+    // A misspelt or removed mode must fail, not pass as an empty run.
+    let figures = ["all", "fig4", "fig6", "fig7", "table3", "table4", "stim"];
+    if !figures.contains(&what.as_str()) {
+        eprintln!(
+            "error: unknown mode {what:?} (expected fig4|fig6|fig7|table3|table4|stim|\
+             enumerators|fault_tolerance|gate|serve|quick|all)"
+        );
+        std::process::exit(2);
     }
     if what == "all" || what == "fig4" {
         fig4(max_d);
@@ -265,152 +262,35 @@ fn gate_complete(batch: &veriqec::engine::BatchReport) {
     }
 }
 
-/// `tables kernels [--quick] [--check <baseline.json>]`: measures the hot
-/// kernels, writes `BENCH_kernels.json`, and — with `--check` — gates the
-/// fresh medians against the checked-in baseline, exiting nonzero on any
-/// hard regression.
-fn kernels(quick: bool, baseline: Option<&str>) {
-    use veriqec_bench::json::Json;
-    use veriqec_bench::kernels::{check_against_baseline, run_kernels};
+/// `tables gate [--quick] [--check <baseline.json>]`: measures the kernel,
+/// solver and decision-diagram layers (every pinned verdict and enumerator
+/// re-asserted, carbon \[\[12,2,4\]\] bit-for-bit), prints their rows as one
+/// table, writes `BENCH_gate.json`, and — with `--check` — gates the rows
+/// against the checked-in baseline, exiting nonzero on any hard regression.
+fn gate(quick: bool, baseline: Option<&str>) {
+    use veriqec_bench::{dd_bench, gate, json::Json, kernels, solver_bench};
 
-    println!(
-        "\n### GF(2) kernel microbenchmarks{}\n",
-        if quick { " (quick)" } else { "" }
-    );
-    let report = run_kernels(quick);
-    println!("| metric | median ns/op | samples |");
-    println!("|--------|--------------|---------|");
-    for m in &report.metrics {
-        println!("| {} | {:.1} | {} |", m.name, m.median_ns, m.samples);
-    }
-    println!(
-        "\nbatch frame sampling speedup at surface d=5: {:.0}x",
-        report.frame_batch_speedup
-    );
-    let artifact = "BENCH_kernels.json";
-    std::fs::write(artifact, report.to_json()).expect("artifact writable");
-    println!("kernel report written to {artifact}");
+    println!("\n### Perf gate{}\n", if quick { " (quick)" } else { "" });
+    let mut rows = kernels::run_kernels(quick);
+    rows.extend(solver_bench::run_solver_bench(quick));
+    rows.extend(dd_bench::run_dd_bench(quick));
+    print!("{}", gate::to_markdown(&rows));
+    let artifact = "BENCH_gate.json";
+    std::fs::write(artifact, gate::to_json(quick, &rows)).expect("artifact writable");
+    println!("\ngate report written to {artifact}");
     if let Some(path) = baseline {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
         let doc = Json::parse(&text).unwrap_or_else(|e| panic!("bad baseline {path}: {e}"));
-        let regressions = check_against_baseline(&report, &doc);
+        let regressions = gate::check(&rows, &doc);
         if !regressions.is_empty() {
-            eprintln!(
-                "error: {} kernel regression(s) against {path}:",
-                regressions.len()
-            );
+            eprintln!("error: {} regression(s) against {path}:", regressions.len());
             for r in &regressions {
                 eprintln!("  - {}", r.0);
             }
             std::process::exit(1);
         }
-        println!("all kernels within tolerance of {path}");
-    }
-}
-
-/// `tables solver [--quick] [--check <baseline.json>]`: measures CDCL
-/// throughput on the pinned instances, writes `BENCH_solver.json`, and —
-/// with `--check` — gates the fresh medians against the checked-in
-/// baseline's `solver_metrics` section, exiting nonzero on any hard
-/// regression or a propagation-throughput floor violation.
-fn solver(quick: bool, baseline: Option<&str>) {
-    use veriqec_bench::json::Json;
-    use veriqec_bench::solver_bench::{check_solver_baseline, run_solver_bench};
-
-    println!(
-        "\n### CDCL solver throughput{}\n",
-        if quick { " (quick)" } else { "" }
-    );
-    let report = run_solver_bench(quick);
-    println!("| instance | verdict | wall ms | propagations | conflicts | props/s | mean LBD |");
-    println!("|----------|---------|---------|--------------|-----------|---------|----------|");
-    for m in &report.metrics {
-        println!(
-            "| {} | {} | {:.2} | {} | {} | {:.2e} | {:.2} |",
-            m.name,
-            m.verdict,
-            m.wall_ms,
-            m.stats.propagations,
-            m.stats.conflicts,
-            m.props_per_sec(),
-            m.stats.mean_learnt_lbd(),
-        );
-    }
-    println!(
-        "\naggregate: {:.2e} propagations/s, {:.2e} conflicts/s",
-        report.props_per_sec, report.conflicts_per_sec
-    );
-    let artifact = "BENCH_solver.json";
-    std::fs::write(artifact, report.to_json()).expect("artifact writable");
-    println!("solver report written to {artifact}");
-    if let Some(path) = baseline {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("bad baseline {path}: {e}"));
-        let regressions = check_solver_baseline(&report, &doc);
-        if !regressions.is_empty() {
-            eprintln!(
-                "error: {} solver regression(s) against {path}:",
-                regressions.len()
-            );
-            for r in &regressions {
-                eprintln!("  - {}", r.0);
-            }
-            std::process::exit(1);
-        }
-        println!("all solver instances within tolerance of {path}");
-    }
-}
-
-/// `tables dd [--quick] [--check <baseline.json>]`: measures full
-/// compile-and-count sessions of the decision-diagram backend on the
-/// pinned codes (coefficients re-asserted every run, carbon \[\[12,2,4\]\]
-/// bit-for-bit), writes `BENCH_dd.json`, and — with `--check` — gates wall
-/// time and peak live nodes against the checked-in baseline's `dd_metrics`
-/// section, exiting nonzero on any hard regression.
-fn dd(quick: bool, baseline: Option<&str>) {
-    use veriqec_bench::dd_bench::{check_dd_baseline, run_dd_bench};
-    use veriqec_bench::json::Json;
-
-    println!(
-        "\n### Decision-diagram compile benchmarks{}\n",
-        if quick { " (quick)" } else { "" }
-    );
-    let report = run_dd_bench(quick);
-    println!("| code | wall ms | allocs | peak live | final | hit rate | gc runs |");
-    println!("|------|---------|--------|-----------|-------|----------|---------|");
-    for m in &report.metrics {
-        println!(
-            "| {} | {:.2} | {} | {} | {} | {:.2} | {} |",
-            m.name,
-            m.wall_ms,
-            m.stats.nodes,
-            m.stats.peak_nodes,
-            m.final_nodes,
-            m.stats.cache_hit_rate(),
-            m.stats.gc_runs,
-        );
-    }
-    let artifact = "BENCH_dd.json";
-    std::fs::write(artifact, report.to_json()).expect("artifact writable");
-    println!("\ndd report written to {artifact}");
-    if let Some(path) = baseline {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("bad baseline {path}: {e}"));
-        let regressions = check_dd_baseline(&report, &doc);
-        if !regressions.is_empty() {
-            eprintln!(
-                "error: {} dd regression(s) against {path}:",
-                regressions.len()
-            );
-            for r in &regressions {
-                eprintln!("  - {}", r.0);
-            }
-            std::process::exit(1);
-        }
-        println!("all dd codes within tolerance of {path}");
+        println!("all rows within tolerance of {path}");
     }
 }
 

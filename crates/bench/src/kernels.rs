@@ -1,14 +1,10 @@
-//! Kernel microbenchmarks behind the CI perf-regression gate.
+//! Kernel microbenchmarks behind the CI perf gate.
 //!
-//! `tables kernels [--quick]` runs three hot-path kernels — the affine XOR
-//! chain, `ReducedVc::resolve_branches`, and batch-vs-sequential Pauli
-//! frame sampling — and writes median ns/op per metric to
-//! `BENCH_kernels.json`. CI uploads the report as an artifact and compares
-//! it against the checked-in `bench_baselines.json` with a generous
-//! tolerance ([`TOLERANCE`], 3×), so only hard regressions fail the build;
-//! the batch-vs-sequential frame speedup is additionally required to stay
-//! above [`MIN_FRAME_SPEEDUP`] — the PR-level acceptance bar for the
-//! bit-sliced simulator.
+//! [`run_kernels`] times three hot-path kernels — the affine XOR chain
+//! (`cexpr`), `ReducedVc::resolve_branches` (`reduce`), and
+//! batch-vs-sequential Pauli frame sampling (`qsim`) — and returns median
+//! ns/op per kernel plus the batch-frame speedup as [`Row`]s for
+//! `tables gate`.
 
 use std::time::Instant;
 
@@ -20,68 +16,8 @@ use veriqec_qsim::LANES;
 use veriqec_vcgen::{reduce_commuting, ReducedVc};
 use veriqec_wp::qec_wp;
 
-use crate::json::Json;
-
-/// Wall-time tolerance of the regression gate: a metric fails only when it
-/// is more than this factor slower than its checked-in baseline. Generous
-/// on purpose — shared CI runners are noisy, and the gate is for hard
-/// regressions (an accidentally quadratic loop, a lost fast path), not for
-/// single-digit-percent drift.
-pub const TOLERANCE: f64 = 3.0;
-
-/// Minimum required batch-vs-sequential frame-sampling speedup at surface
-/// d=5 (the PR acceptance bar is 10×; the measured ratio is far higher).
-pub const MIN_FRAME_SPEEDUP: f64 = 10.0;
-
-/// One measured kernel.
-#[derive(Clone, Debug)]
-pub struct Metric {
-    /// Stable metric name — the join key against `bench_baselines.json`.
-    pub name: String,
-    /// Median wall time per operation, nanoseconds.
-    pub median_ns: f64,
-    /// Timed samples behind the median.
-    pub samples: usize,
-}
-
-/// The full kernels report (serialized to `BENCH_kernels.json`).
-#[derive(Clone, Debug)]
-pub struct KernelsReport {
-    /// True for the CI `--quick` run (fewer samples, d ≤ 5 workloads).
-    pub quick: bool,
-    /// Measured kernels.
-    pub metrics: Vec<Metric>,
-    /// Sequential-ns ÷ batch-ns per frame at surface d=5.
-    pub frame_batch_speedup: f64,
-}
-
-impl KernelsReport {
-    /// Metric lookup by name.
-    pub fn metric(&self, name: &str) -> Option<&Metric> {
-        self.metrics.iter().find(|m| m.name == name)
-    }
-
-    /// Serializes the report (stable field names; no external
-    /// serialization dependency).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"schema\":\"veriqec_kernels_v1\",\"quick\":{},\"frame_batch_speedup\":{:.2},\"metrics\":[",
-            self.quick, self.frame_batch_speedup
-        ));
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"median_ns\":{:.1},\"samples\":{}}}",
-                m.name, m.median_ns, m.samples
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
+use crate::gate::Row;
+use crate::Lcg;
 
 /// Median wall time of `f` in nanoseconds over `samples` timed runs (one
 /// untimed warm-up).
@@ -97,20 +33,6 @@ pub fn median_ns<F: FnMut()>(samples: usize, mut f: F) -> f64 {
         .collect();
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
-}
-
-/// Deterministic xorshift so every run times an identical workload.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
 }
 
 /// The XOR-chain workload at distance `d`: 256 affine forms of weight 8
@@ -148,37 +70,43 @@ fn frame_workload(d: usize, rounds: usize) -> (veriqec_qsim::FrameCircuit, Vec<u
     (frame.circuit, masks)
 }
 
-/// Runs every kernel and assembles the report. `quick` is the CI mode:
-/// fewer samples and d ≤ 5 workloads; the full mode adds the d=7 symbolic
+/// Runs every kernel and returns its rows. `quick` is the CI mode: fewer
+/// samples and d ≤ 5 workloads; the full mode adds the d=7 symbolic
 /// kernels on top.
-pub fn run_kernels(quick: bool) -> KernelsReport {
+pub fn run_kernels(quick: bool) -> Vec<Row> {
     let samples = if quick { 24 } else { 64 };
-    let mut metrics = Vec::new();
+    let mut rows = Vec::new();
 
     let symbolic_ds: &[usize] = if quick { &[5] } else { &[5, 7] };
     for &d in symbolic_ds {
         let forms = chain_forms(d);
-        metrics.push(Metric {
-            name: format!("xor_chain_d{d}"),
-            median_ns: median_ns(samples, || {
-                let mut acc = Affine::zero();
-                for f in &forms {
-                    acc ^= f;
-                }
-                std::hint::black_box(&acc);
-            }),
-            samples,
+        let ns = median_ns(samples, || {
+            let mut acc = Affine::zero();
+            for f in &forms {
+                acc ^= f;
+            }
+            std::hint::black_box(&acc);
         });
+        rows.push(Row::lower(
+            "cexpr",
+            format!("xor_chain_d{d}"),
+            "median_ns",
+            ns,
+            "ns",
+        ));
         let vc = surface_vc(d);
-        metrics.push(Metric {
-            name: format!("branch_resolution_d{d}"),
-            median_ns: median_ns(samples, || {
-                let mut v = vc.clone();
-                v.resolve_branches();
-                std::hint::black_box(v.targets.len());
-            }),
-            samples,
+        let ns = median_ns(samples, || {
+            let mut v = vc.clone();
+            v.resolve_branches();
+            std::hint::black_box(v.targets.len());
         });
+        rows.push(Row::lower(
+            "reduce",
+            format!("branch_resolution_d{d}"),
+            "median_ns",
+            ns,
+            "ns",
+        ));
     }
 
     let (circuit, masks) = frame_workload(5, 3);
@@ -194,68 +122,28 @@ pub fn run_kernels(quick: bool) -> KernelsReport {
     let batch_ns = median_ns(samples, || {
         std::hint::black_box(circuit.sample_batch(&masks));
     }) / LANES as f64;
-    metrics.push(Metric {
-        name: "frame_sequential_d5".into(),
-        median_ns: seq_ns,
-        samples,
-    });
-    metrics.push(Metric {
-        name: "frame_batch_d5".into(),
-        median_ns: batch_ns,
-        samples,
-    });
-
-    KernelsReport {
-        quick,
-        metrics,
-        frame_batch_speedup: seq_ns / batch_ns,
-    }
-}
-
-/// One gate violation, human-readable.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Regression(pub String);
-
-/// Compares a fresh report against a parsed `bench_baselines.json`
-/// document (shape: `{"metrics": [{"name": ..., "median_ns": ...}, ...]}`).
-/// A metric regresses when it is more than [`TOLERANCE`]× slower than its
-/// baseline; baseline entries with no measured counterpart are reported
-/// too (a silently dropped metric must not pass the gate), while measured
-/// metrics absent from the baseline are ignored (new metrics land first,
-/// their baselines land with the measurement). The frame speedup must
-/// clear [`MIN_FRAME_SPEEDUP`] regardless of baselines.
-pub fn check_against_baseline(report: &KernelsReport, baseline: &Json) -> Vec<Regression> {
-    let mut regressions = Vec::new();
-    let entries = baseline
-        .get("metrics")
-        .and_then(Json::as_arr)
-        .unwrap_or(&[]);
-    for entry in entries {
-        let (Some(name), Some(base_ns)) = (
-            entry.get("name").and_then(Json::as_str),
-            entry.get("median_ns").and_then(Json::as_f64),
-        ) else {
-            regressions.push(Regression(format!("malformed baseline entry: {entry:?}")));
-            continue;
-        };
-        match report.metric(name) {
-            None => regressions.push(Regression(format!(
-                "baseline metric '{name}' was not measured"
-            ))),
-            Some(m) if m.median_ns > base_ns * TOLERANCE => regressions.push(Regression(format!(
-                "{name}: {:.0} ns/op exceeds {TOLERANCE}x baseline {base_ns:.0} ns/op",
-                m.median_ns
-            ))),
-            Some(_) => {}
-        }
-    }
-    if report.frame_batch_speedup < MIN_FRAME_SPEEDUP {
-        regressions.push(Regression(format!(
-            "frame batch speedup {:.1}x below required {MIN_FRAME_SPEEDUP}x",
-            report.frame_batch_speedup
-        )));
-    }
-    regressions
+    rows.push(Row::lower(
+        "qsim",
+        "frame_sequential_d5",
+        "median_ns",
+        seq_ns,
+        "ns",
+    ));
+    rows.push(Row::lower(
+        "qsim",
+        "frame_batch_d5",
+        "median_ns",
+        batch_ns,
+        "ns",
+    ));
+    rows.push(Row::higher(
+        "qsim",
+        "frame_batch_d5",
+        "speedup",
+        seq_ns / batch_ns,
+        "x",
+    ));
+    rows
 }
 
 #[cfg(test)]
@@ -268,78 +156,5 @@ mod tests {
         let m = median_ns(5, || calls += 1);
         assert_eq!(calls, 6); // warm-up + samples
         assert!(m >= 0.0);
-    }
-
-    #[test]
-    fn report_json_round_trips_through_parser() {
-        let report = KernelsReport {
-            quick: true,
-            metrics: vec![Metric {
-                name: "xor_chain_d5".into(),
-                median_ns: 1234.5,
-                samples: 24,
-            }],
-            frame_batch_speedup: 42.0,
-        };
-        let v = Json::parse(&report.to_json()).unwrap();
-        assert_eq!(
-            v.get("schema").unwrap().as_str(),
-            Some("veriqec_kernels_v1")
-        );
-        assert_eq!(v.get("quick").unwrap().as_bool(), Some(true));
-        assert_eq!(v.get("frame_batch_speedup").unwrap().as_f64(), Some(42.0));
-        let metrics = v.get("metrics").unwrap().as_arr().unwrap();
-        assert_eq!(
-            metrics[0].get("name").unwrap().as_str(),
-            Some("xor_chain_d5")
-        );
-        assert_eq!(metrics[0].get("median_ns").unwrap().as_f64(), Some(1234.5));
-    }
-
-    #[test]
-    fn baseline_gate_flags_only_hard_regressions() {
-        let report = KernelsReport {
-            quick: true,
-            metrics: vec![
-                Metric {
-                    name: "fast".into(),
-                    median_ns: 100.0,
-                    samples: 8,
-                },
-                Metric {
-                    name: "slow".into(),
-                    median_ns: 1000.0,
-                    samples: 8,
-                },
-            ],
-            frame_batch_speedup: 50.0,
-        };
-        let baseline = Json::parse(
-            r#"{"metrics":[
-                {"name":"fast","median_ns":50.0},
-                {"name":"slow","median_ns":100.0},
-                {"name":"gone","median_ns":10.0}
-            ]}"#,
-        )
-        .unwrap();
-        let regs = check_against_baseline(&report, &baseline);
-        // 'fast' is 2x the baseline — inside the 3x tolerance. 'slow' is
-        // 10x — a hard regression. 'gone' was never measured.
-        assert_eq!(regs.len(), 2, "{regs:?}");
-        assert!(regs.iter().any(|r| r.0.contains("slow")));
-        assert!(regs.iter().any(|r| r.0.contains("gone")));
-    }
-
-    #[test]
-    fn speedup_floor_is_enforced() {
-        let report = KernelsReport {
-            quick: true,
-            metrics: vec![],
-            frame_batch_speedup: 2.0,
-        };
-        let baseline = Json::parse(r#"{"metrics":[]}"#).unwrap();
-        let regs = check_against_baseline(&report, &baseline);
-        assert_eq!(regs.len(), 1);
-        assert!(regs[0].0.contains("speedup"));
     }
 }

@@ -3,15 +3,15 @@
 //! Each Criterion bench and table binary regenerates one table or figure of
 //! the paper's evaluation section; `DESIGN.md` maps experiment ids to
 //! targets, and `EXPERIMENTS.md` records paper-vs-measured results. The
-//! [`kernels`] module is the CI perf-regression gate's measurement core
-//! (`tables kernels` → `BENCH_kernels.json`), [`solver_bench`] is the CDCL
-//! throughput gate next to it (`tables solver` → `BENCH_solver.json`), and
-//! [`json`] is the minimal parser that the gates and the artifact schema
-//! tests read those reports with (the tree is offline — no serde; the
-//! parser itself lives in `veriqec_serve`, which also feeds it the daemon's
-//! line protocol, and is re-exported here for the gates), and
-//! [`trace`] validates the Chrome trace-event artifacts `tables --trace`
-//! emits before they are written or uploaded.
+//! CI perf gate (`tables gate` → `BENCH_gate.json`) measures
+//! three micro-layers — [`kernels`] (GF(2), reduction and frame kernels),
+//! [`solver_bench`] (CDCL throughput) and [`dd_bench`] (decision-diagram
+//! compiles) — as rows of one schema, which [`gate`] writes and checks
+//! against `bench_baselines.json`. [`json`] is the minimal parser the gate
+//! and the artifact schema tests read with (the tree is offline — no serde;
+//! the parser itself lives in `veriqec_serve`, which also feeds it the
+//! daemon's line protocol), and [`trace`] validates the Chrome trace-event
+//! artifacts `tables --trace` emits before they are written or uploaded.
 
 use veriqec::scenario::{memory_scenario, ErrorModel, Scenario};
 use veriqec::tasks::build_problem;
@@ -19,6 +19,7 @@ use veriqec_codes::{rotated_surface, StabilizerCode};
 use veriqec_vcgen::VcProblem;
 
 pub mod dd_bench;
+pub mod gate;
 pub use veriqec_serve::json;
 pub mod kernels;
 pub mod solver_bench;
@@ -44,4 +45,18 @@ pub fn locality_set(d: usize) -> Vec<usize> {
     let n = d * d;
     let count = (n - 1) / 2;
     (0..count).map(|i| (i * 7 + 3) % n).collect()
+}
+
+/// Deterministic xorshift so every run times an identical workload.
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x
+    }
 }

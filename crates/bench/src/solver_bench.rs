@@ -1,18 +1,12 @@
-//! CDCL solver throughput benchmarks behind the `tables solver` CI gate.
+//! CDCL solver throughput benchmarks behind the CI perf gate.
 //!
-//! `tables solver [--quick]` runs a pinned set of instances — pigeonhole and
-//! seeded random 3-SAT at the pure-SAT layer, plus zoo workloads (a distance
-//! sweep and incremental correction sweeps) through the same sessions the
-//! engine uses — and writes per-instance wall time and throughput
-//! (propagations/sec, conflicts/sec) to `BENCH_solver.json`. With
-//! `--check <baseline.json>` the fresh medians are gated against the
-//! checked-in `bench_baselines.json` (`solver_metrics` section) with the
-//! same generous tolerance as the kernel gate ([`crate::kernels::TOLERANCE`],
-//! 3×), so only hard regressions — a lost fast path in `propagate`, an
-//! accidentally quadratic clause-database walk — fail the build. The
-//! aggregate propagation throughput must additionally stay above
-//! [`MIN_PROPS_PER_SEC`], the release-build floor the clause-arena rewrite
-//! cleared with wide headroom.
+//! [`run_solver_bench`] solves a pinned set of instances — pigeonhole and
+//! seeded random 3-SAT at the pure-SAT layer, plus zoo workloads (a
+//! distance sweep and incremental correction sweeps) through the same
+//! sessions the engine uses — re-asserting every verdict, and returns
+//! `sat` [`Row`]s for `tables gate`: per-instance wall time, propagations,
+//! conflicts, propagation rate and mean learnt LBD, plus the aggregate
+//! propagation and conflict rates (workload `aggregate`).
 
 use std::time::Instant;
 
@@ -23,99 +17,8 @@ use veriqec_codes::{rotated_surface, steane, toric};
 use veriqec_sat::{Lit, SatResult, Solver, SolverConfig, SolverStats, Var};
 use veriqec_vcgen::VcOutcome;
 
-use crate::json::Json;
-use crate::kernels::{Regression, TOLERANCE};
-
-/// Release-build floor on the aggregate propagation throughput across the
-/// pinned instances. Deliberately far below a healthy dev-container run
-/// (tens of millions of propagations per second) — like the kernel gate,
-/// this catches hard regressions, not runner noise.
-pub const MIN_PROPS_PER_SEC: f64 = 1.0e6;
-
-/// One measured instance.
-#[derive(Clone, Debug)]
-pub struct SolverMetric {
-    /// Stable instance name — the join key against `bench_baselines.json`.
-    pub name: String,
-    /// The pinned verdict, re-asserted on every run.
-    pub verdict: String,
-    /// Median wall time of a full fresh-solver run, milliseconds.
-    pub wall_ms: f64,
-    /// Solver statistics of the median run.
-    pub stats: SolverStats,
-}
-
-impl SolverMetric {
-    /// Propagations per second on the median run.
-    pub fn props_per_sec(&self) -> f64 {
-        if self.wall_ms <= 0.0 {
-            0.0
-        } else {
-            self.stats.propagations as f64 / (self.wall_ms / 1e3)
-        }
-    }
-}
-
-/// The full solver report (serialized to `BENCH_solver.json`).
-#[derive(Clone, Debug)]
-pub struct SolverReport {
-    /// True for the CI `--quick` run (fewer runs, small instances only).
-    pub quick: bool,
-    /// Measured instances.
-    pub metrics: Vec<SolverMetric>,
-    /// Total propagations ÷ total seconds across the median runs.
-    pub props_per_sec: f64,
-    /// Total conflicts ÷ total seconds across the median runs.
-    pub conflicts_per_sec: f64,
-}
-
-impl SolverReport {
-    /// Instance lookup by name.
-    pub fn metric(&self, name: &str) -> Option<&SolverMetric> {
-        self.metrics.iter().find(|m| m.name == name)
-    }
-
-    /// Serializes the report (stable field names; no external
-    /// serialization dependency).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"schema\":\"veriqec_solver_v1\",\"quick\":{},\"props_per_sec\":{:.0},\"conflicts_per_sec\":{:.0},\"instances\":[",
-            self.quick, self.props_per_sec, self.conflicts_per_sec
-        ));
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"verdict\":\"{}\",\"wall_ms\":{:.3},\"propagations\":{},\"conflicts\":{},\"props_per_sec\":{:.0},\"mean_lbd\":{:.2}}}",
-                m.name,
-                m.verdict,
-                m.wall_ms,
-                m.stats.propagations,
-                m.stats.conflicts,
-                m.props_per_sec(),
-                m.stats.mean_learnt_lbd(),
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Deterministic xorshift so every run solves an identical instance.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-}
+use crate::gate::Row;
+use crate::Lcg;
 
 /// PHP(p, h): `p` pigeons into `h` holes — unsatisfiable when p > h, with a
 /// propagation-heavy refutation. The canonical pure-SAT stress instance.
@@ -171,8 +74,13 @@ fn sat_verdict(r: SatResult) -> &'static str {
 }
 
 /// Runs `f` (a full fresh-state solve returning its verdict tag and stats)
-/// `runs + 1` times — one warm-up — and keeps the median-wall-time run.
-fn measure<F: FnMut() -> (String, SolverStats)>(name: &str, runs: usize, mut f: F) -> SolverMetric {
+/// `runs + 1` times — one warm-up — asserts the verdict is the same every
+/// time, and returns the wall time (ms) and stats of the median run.
+fn measure<F: FnMut() -> (String, SolverStats)>(
+    name: &'static str,
+    runs: usize,
+    mut f: F,
+) -> (&'static str, f64, SolverStats) {
     assert!(runs > 0);
     let (verdict, _) = f();
     let mut timed: Vec<(f64, SolverStats)> = (0..runs)
@@ -185,41 +93,46 @@ fn measure<F: FnMut() -> (String, SolverStats)>(name: &str, runs: usize, mut f: 
         .collect();
     timed.sort_by(|a, b| f64::total_cmp(&a.0, &b.0));
     let (wall_ms, stats) = timed[timed.len() / 2];
-    SolverMetric {
-        name: name.to_string(),
-        verdict,
-        wall_ms,
-        stats,
+    (name, wall_ms, stats)
+}
+
+/// `count` per second over `wall_ms` milliseconds (0 for an unmeasurably
+/// short run).
+fn per_sec(count: u64, wall_ms: f64) -> f64 {
+    if wall_ms > 0.0 {
+        count as f64 / (wall_ms / 1e3)
+    } else {
+        0.0
     }
 }
 
-/// Runs every pinned instance and assembles the report. `quick` is the CI
+/// Runs every pinned instance and returns its rows. `quick` is the CI
 /// mode: fewer timed runs and the small instances only; the full mode adds
 /// PHP(8,7) and the surface-5 correction sweep.
-pub fn run_solver_bench(quick: bool) -> SolverReport {
+pub fn run_solver_bench(quick: bool) -> Vec<Row> {
     let runs = if quick { 3 } else { 7 };
     let config = SolverConfig::default();
-    let mut metrics = Vec::new();
+    let mut instances = Vec::new();
 
-    metrics.push(measure("php_7_6", runs, || {
+    instances.push(measure("php_7_6", runs, || {
         let mut s = php_solver(7, 6);
         let r = s.solve(&[]);
         assert_eq!(r, SatResult::Unsat);
         (sat_verdict(r).into(), s.stats())
     }));
-    metrics.push(measure("rand3sat_n150", runs, || {
+    instances.push(measure("rand3sat_n150", runs, || {
         let mut s = rand3sat_solver(150, 0x5EED_CAFE);
         let r = s.solve(&[]);
         assert_ne!(r, SatResult::Unknown);
         (sat_verdict(r).into(), s.stats())
     }));
-    metrics.push(measure("steane_distance", runs, || {
+    instances.push(measure("steane_distance", runs, || {
         let mut session = DetectionSession::new(&steane(), config);
         let out = session.find_distance(4);
         assert_eq!(out, DistanceOutcome::Exact(3));
         ("distance_3".into(), session.solver_stats())
     }));
-    metrics.push(measure("surface3_sweep_w2", runs, || {
+    instances.push(measure("surface3_sweep_w2", runs, || {
         let scenario = memory_scenario(&rotated_surface(3), ErrorModel::YErrors);
         let mut sweep = CorrectionSweep::new(&scenario, vec![], config);
         assert!(sweep.check_weight(1).is_verified());
@@ -230,19 +143,19 @@ pub fn run_solver_bench(quick: bool) -> SolverReport {
         ("w1_verified_w2_cex".into(), sweep.session().solver_stats())
     }));
     if !quick {
-        metrics.push(measure("php_8_7", runs, || {
+        instances.push(measure("php_8_7", runs, || {
             let mut s = php_solver(8, 7);
             let r = s.solve(&[]);
             assert_eq!(r, SatResult::Unsat);
             (sat_verdict(r).into(), s.stats())
         }));
-        metrics.push(measure("toric3_distance", runs, || {
+        instances.push(measure("toric3_distance", runs, || {
             let mut session = DetectionSession::new(&toric(3), config);
             let out = session.find_distance(4);
             assert_eq!(out, DistanceOutcome::Exact(3));
             ("distance_3".into(), session.solver_stats())
         }));
-        metrics.push(measure("surface5_sweep_w3", runs, || {
+        instances.push(measure("surface5_sweep_w3", runs, || {
             let scenario = memory_scenario(&rotated_surface(5), ErrorModel::YErrors);
             let mut sweep = CorrectionSweep::new(&scenario, vec![], config);
             assert!(sweep.check_weight(2).is_verified());
@@ -254,146 +167,42 @@ pub fn run_solver_bench(quick: bool) -> SolverReport {
         }));
     }
 
-    let total_secs: f64 = metrics.iter().map(|m| m.wall_ms / 1e3).sum();
-    let total_props: u64 = metrics.iter().map(|m| m.stats.propagations).sum();
-    let total_conflicts: u64 = metrics.iter().map(|m| m.stats.conflicts).sum();
-    SolverReport {
-        quick,
-        metrics,
-        props_per_sec: if total_secs > 0.0 {
-            total_props as f64 / total_secs
-        } else {
-            0.0
-        },
-        conflicts_per_sec: if total_secs > 0.0 {
-            total_conflicts as f64 / total_secs
-        } else {
-            0.0
-        },
+    let mut rows = Vec::new();
+    for &(name, wall_ms, stats) in &instances {
+        let props = stats.propagations;
+        rows.extend([
+            Row::lower("sat", name, "wall_ms", wall_ms, "ms"),
+            Row::lower("sat", name, "propagations", props as f64, "count"),
+            Row::lower("sat", name, "conflicts", stats.conflicts as f64, "count"),
+            Row::higher("sat", name, "props_per_s", per_sec(props, wall_ms), "1/s"),
+            Row::lower("sat", name, "mean_lbd", stats.mean_learnt_lbd(), "lbd"),
+        ]);
     }
-}
-
-/// Compares a fresh report against a parsed `bench_baselines.json` document
-/// (its `solver_metrics` section: `[{"name": ..., "wall_ms": ...}, ...]`).
-/// An instance regresses when it is more than [`TOLERANCE`]× slower than
-/// its baseline; baseline entries with no measured counterpart are reported
-/// too (a silently dropped instance must not pass the gate), while measured
-/// instances absent from the baseline are ignored (new instances land
-/// first, their baselines land with the measurement). The aggregate
-/// propagation throughput must clear [`MIN_PROPS_PER_SEC`] regardless of
-/// baselines.
-pub fn check_solver_baseline(report: &SolverReport, baseline: &Json) -> Vec<Regression> {
-    let mut regressions = Vec::new();
-    let entries = baseline
-        .get("solver_metrics")
-        .and_then(Json::as_arr)
-        .unwrap_or(&[]);
-    for entry in entries {
-        let (Some(name), Some(base_ms)) = (
-            entry.get("name").and_then(Json::as_str),
-            entry.get("wall_ms").and_then(Json::as_f64),
-        ) else {
-            regressions.push(Regression(format!(
-                "malformed solver baseline entry: {entry:?}"
-            )));
-            continue;
-        };
-        match report.metric(name) {
-            None => regressions.push(Regression(format!(
-                "baseline solver instance '{name}' was not measured"
-            ))),
-            Some(m) if m.wall_ms > base_ms * TOLERANCE => regressions.push(Regression(format!(
-                "{name}: {:.2} ms exceeds {TOLERANCE}x baseline {base_ms:.2} ms",
-                m.wall_ms
-            ))),
-            Some(_) => {}
-        }
-    }
-    if report.props_per_sec < MIN_PROPS_PER_SEC {
-        regressions.push(Regression(format!(
-            "aggregate propagation throughput {:.0}/s below required {MIN_PROPS_PER_SEC:.0}/s",
-            report.props_per_sec
-        )));
-    }
-    regressions
+    let wall_ms: f64 = instances.iter().map(|i| i.1).sum();
+    let props: u64 = instances.iter().map(|i| i.2.propagations).sum();
+    let conflicts: u64 = instances.iter().map(|i| i.2.conflicts).sum();
+    rows.extend([
+        Row::higher(
+            "sat",
+            "aggregate",
+            "props_per_s",
+            per_sec(props, wall_ms),
+            "1/s",
+        ),
+        Row::higher(
+            "sat",
+            "aggregate",
+            "conflicts_per_s",
+            per_sec(conflicts, wall_ms),
+            "1/s",
+        ),
+    ]);
+    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn metric(name: &str, wall_ms: f64, propagations: u64) -> SolverMetric {
-        SolverMetric {
-            name: name.into(),
-            verdict: "unsat".into(),
-            wall_ms,
-            stats: SolverStats {
-                propagations,
-                conflicts: propagations / 10,
-                ..SolverStats::default()
-            },
-        }
-    }
-
-    #[test]
-    fn report_json_round_trips_through_parser() {
-        let report = SolverReport {
-            quick: true,
-            metrics: vec![metric("php_7_6", 2.5, 100_000)],
-            props_per_sec: 4.0e7,
-            conflicts_per_sec: 4.0e6,
-        };
-        let doc = Json::parse(&report.to_json()).unwrap();
-        assert_eq!(
-            doc.get("schema").unwrap().as_str(),
-            Some("veriqec_solver_v1")
-        );
-        assert_eq!(doc.get("quick").unwrap().as_bool(), Some(true));
-        assert!(doc.get("props_per_sec").unwrap().as_f64().unwrap() > 0.0);
-        let instances = doc.get("instances").unwrap().as_arr().unwrap();
-        assert_eq!(instances[0].get("name").unwrap().as_str(), Some("php_7_6"));
-        assert_eq!(instances[0].get("verdict").unwrap().as_str(), Some("unsat"));
-        assert!(instances[0].get("props_per_sec").unwrap().as_f64().unwrap() > 0.0);
-        assert!(instances[0].get("mean_lbd").unwrap().as_f64().is_some());
-    }
-
-    #[test]
-    fn baseline_gate_flags_only_hard_regressions() {
-        let report = SolverReport {
-            quick: true,
-            metrics: vec![metric("fast", 2.0, 1_000_000), metric("slow", 100.0, 1_000)],
-            props_per_sec: 1.0e7,
-            conflicts_per_sec: 1.0e6,
-        };
-        let baseline = Json::parse(
-            r#"{"solver_metrics":[
-                {"name":"fast","wall_ms":1.0},
-                {"name":"slow","wall_ms":10.0},
-                {"name":"gone","wall_ms":5.0}
-            ]}"#,
-        )
-        .unwrap();
-        let regs = check_solver_baseline(&report, &baseline);
-        // 'fast' is 2x the baseline — inside the 3x tolerance. 'slow' is
-        // 10x — a hard regression. 'gone' was never measured.
-        assert_eq!(regs.len(), 2, "{regs:?}");
-        assert!(regs.iter().any(|r| r.0.contains("slow")));
-        assert!(regs.iter().any(|r| r.0.contains("gone")));
-    }
-
-    #[test]
-    fn throughput_floor_is_enforced() {
-        let report = SolverReport {
-            quick: true,
-            metrics: vec![],
-            props_per_sec: 10.0,
-            conflicts_per_sec: 1.0,
-        };
-        let baseline = Json::parse(r#"{"solver_metrics":[]}"#).unwrap();
-        let regs = check_solver_baseline(&report, &baseline);
-        assert_eq!(regs.len(), 1);
-        assert!(regs[0].0.contains("throughput"));
-    }
 
     #[test]
     fn pinned_pure_sat_instances_solve_as_expected() {

@@ -67,7 +67,7 @@ pub use scenario::{
 };
 pub use tasks::{
     build_problem, build_problem_split, build_problem_unbounded, discreteness_constraint,
-    find_distance, locality_constraint, verify_code_memory, verify_constrained, verify_correction,
-    verify_detection, verify_fault_tolerance, verify_nonpauli_memory, DetectionOutcome,
-    DistanceOutcome, VerificationReport,
+    find_distance, locality_constraint, verify_constrained, verify_correction, verify_detection,
+    verify_fault_tolerance, verify_nonpauli_memory, DetectionOutcome, DistanceOutcome,
+    VerificationReport,
 };

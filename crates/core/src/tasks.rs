@@ -13,7 +13,7 @@ use veriqec_vcgen::{reduce_commuting, verify_nonpauli, NonPauliOutcome, VcOutcom
 use veriqec_wp::qec_wp;
 
 use crate::engine::DetectionSession;
-use crate::scenario::{memory_scenario, nonpauli_scenario, ErrorModel, Scenario};
+use crate::scenario::{nonpauli_scenario, Scenario};
 
 /// A verification report: the outcome plus timing and problem-size data.
 #[derive(Clone, Debug)]
@@ -333,21 +333,16 @@ pub fn verify_nonpauli_memory(
     verify_nonpauli(&scenario.lhs, &wp, &oracle, &scenario.params)
 }
 
-/// Convenience: the standard one-round memory verification for a code.
-pub fn verify_code_memory(code: &StabilizerCode, model: ErrorModel) -> VerificationReport {
-    let t = (code.claimed_distance().unwrap_or(1) as i64 - 1) / 2;
-    let scenario = memory_scenario(code, model);
-    verify_correction(&scenario, t, SolverConfig::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{memory_scenario, ErrorModel};
     use veriqec_codes::{rotated_surface, steane};
 
     #[test]
     fn steane_memory_verifies_single_y_errors() {
-        let report = verify_code_memory(&steane(), ErrorModel::YErrors);
+        let scenario = memory_scenario(&steane(), ErrorModel::YErrors);
+        let report = verify_correction(&scenario, 1, SolverConfig::default());
         assert!(report.outcome.is_verified(), "{:?}", report.outcome);
     }
 

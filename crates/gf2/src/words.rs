@@ -22,8 +22,7 @@ pub const BITS: usize = 64;
 pub const LANE_WORDS: usize = 4;
 
 /// Reference one-word-at-a-time kernels: the pre-widening loops, kept as
-/// the oracle for the 4-lane differential proptests and as the baseline
-/// side of the `tables kernels` microbenchmarks.
+/// the oracle for the 4-lane differential proptests.
 pub mod scalar {
     /// One-word-at-a-time [`super::xor_into`].
     ///

@@ -2,9 +2,9 @@
 //! artifacts.
 //!
 //! The workspace is offline (no serde), but the daemon must parse one
-//! request object per line, the CI perf-regression gate must read
-//! `bench_baselines.json`, and the artifact schema tests must parse the
-//! `BENCH_*.json` reports the `--quick` modes write (`veriqec_bench`
+//! request object per line, the CI perf gate (`tables gate --check`) must
+//! read `bench_baselines.json`, and the artifact schema tests must parse
+//! the `BENCH_*.json` reports the `--quick` modes write (`veriqec_bench`
 //! re-exports this module for those consumers). This is a small
 //! recursive-descent parser covering exactly the JSON those writers emit:
 //! objects, arrays, strings with the standard escapes, `f64` numbers,

@@ -22,7 +22,8 @@
 //! * **Admission control** ([`server`]): a bounded pending queue sheds
 //!   load with `"busy"` past the high-water mark, per-request deadlines
 //!   are lowered onto the existing cooperative stop flags by watchdog
-//!   threads, request lines are bounded (1 MiB), and
+//!   threads, request lines are bounded (1 MiB), so are code sizes (1024
+//!   qubits) and extraction rounds (64), and
 //!   shutdown (request, SIGTERM, or API) drains admitted work before the
 //!   process exits.
 //!

@@ -10,6 +10,8 @@
 //! `"max_t_data"`/`"max_t_meas"`), and budgets (`"conflict_budget"`,
 //! `"node_limit"`, `"deadline_ms"`). Anything the parser rejects becomes a
 //! structured `{"ok":false,"error":…}` response — never a dead connection.
+//! That includes codes past `MAX_QUBITS` and rounds past `MAX_ROUNDS`
+//! (see `server.rs`), refused before any code is built.
 
 use veriqec::engine::json_escape;
 use veriqec::scenario::ErrorModel;
@@ -20,6 +22,7 @@ use veriqec_codes::{
 use veriqec_pauli::{PauliString, StabilizerGroup, SymPauli};
 
 use crate::json::Json;
+use crate::server::{MAX_QUBITS, MAX_ROUNDS};
 
 /// A parsed request line.
 #[derive(Clone, Debug)]
@@ -177,6 +180,12 @@ fn parse_verify(doc: &Json) -> Result<VerifyRequest, String> {
         }
         (None, Some(s)) => {
             let arr = s.as_arr().ok_or("\"stabilizers\" must be an array")?;
+            if arr.len() > MAX_QUBITS {
+                return Err(format!(
+                    "\"stabilizers\" has {} generators; requests are capped at {MAX_QUBITS}",
+                    arr.len()
+                ));
+            }
             let stabilizers: Vec<String> = arr
                 .iter()
                 .map(|g| {
@@ -187,6 +196,12 @@ fn parse_verify(doc: &Json) -> Result<VerifyRequest, String> {
                 .collect::<Result<_, _>>()?;
             if stabilizers.is_empty() {
                 return Err("\"stabilizers\" must not be empty".into());
+            }
+            if let Some(long) = stabilizers.iter().find(|g| g.len() > MAX_QUBITS) {
+                return Err(format!(
+                    "a stabilizer has {} letters; requests are capped at {MAX_QUBITS} qubits",
+                    long.len()
+                ));
             }
             CodeSpec::Inline {
                 name: doc
@@ -214,12 +229,18 @@ fn parse_verify(doc: &Json) -> Result<VerifyRequest, String> {
             }
         },
     };
+    let rounds = usize_field(doc, "rounds")?.unwrap_or(0);
+    if rounds > MAX_ROUNDS {
+        return Err(format!(
+            "\"rounds\" is {rounds}; requests are capped at {MAX_ROUNDS}"
+        ));
+    }
     Ok(VerifyRequest {
         id,
         kind,
         code,
         model,
-        rounds: usize_field(doc, "rounds")?.unwrap_or(0),
+        rounds,
         conflict_budget: usize_field(doc, "conflict_budget")?.map(|v| v as u64),
         node_limit: usize_field(doc, "node_limit")?,
         deadline_ms: usize_field(doc, "deadline_ms")?.map(|v| v as u64),
@@ -319,11 +340,22 @@ fn resolve_zoo(name: &str) -> Result<StabilizerCode, String> {
                 .map_err(|_| format!("bad size suffix in {name:?}"))
         })
     };
+    // Runs before the constructor: the suffix alone fixes the qubit count.
+    let within_cap = |qubits: usize| {
+        if qubits > MAX_QUBITS {
+            Err(format!(
+                "{name:?} has {qubits} qubits; requests are capped at {MAX_QUBITS}"
+            ))
+        } else {
+            Ok(())
+        }
+    };
     if let Some(d) = sized("surface_").or_else(|| sized("rotated_surface_")) {
         let d = d?;
         if d < 3 || d % 2 == 0 {
             return Err(format!("surface codes need odd d >= 3, got {d}"));
         }
+        within_cap(d.saturating_mul(d))?;
         return Ok(rotated_surface(d));
     }
     if let Some(d) = sized("xzzx_") {
@@ -331,6 +363,7 @@ fn resolve_zoo(name: &str) -> Result<StabilizerCode, String> {
         if d < 3 || d % 2 == 0 {
             return Err(format!("xzzx codes need odd d >= 3, got {d}"));
         }
+        within_cap(d.saturating_mul(d))?;
         return Ok(xzzx_surface(d));
     }
     if let Some(n) = sized("repetition_") {
@@ -338,6 +371,7 @@ fn resolve_zoo(name: &str) -> Result<StabilizerCode, String> {
         if n < 2 {
             return Err(format!("repetition codes need n >= 2, got {n}"));
         }
+        within_cap(n)?;
         return Ok(repetition(n));
     }
     if let Some(d) = sized("toric_") {
@@ -345,6 +379,7 @@ fn resolve_zoo(name: &str) -> Result<StabilizerCode, String> {
         if d < 2 {
             return Err(format!("toric codes need d >= 2, got {d}"));
         }
+        within_cap(d.saturating_mul(d).saturating_mul(2))?;
         return Ok(toric(d));
     }
     if let Some(r) = sized("reed_muller_") {
@@ -436,6 +471,10 @@ mod tests {
         assert!(resolve_zoo("surface_4").unwrap_err().contains("odd"));
         assert!(resolve_zoo("repetition_1").unwrap_err().contains("n >= 2"));
         assert!(resolve_zoo("surface_x").unwrap_err().contains("suffix"));
+        // Over-cap sizes are refused from the suffix alone, never built.
+        for big in ["surface_99999", "xzzx_33", "toric_23", "repetition_1025"] {
+            assert!(resolve_zoo(big).unwrap_err().contains("capped"), "{big}");
+        }
         assert!(resolve_zoo("bogus_99")
             .unwrap_err()
             .contains("unknown code"));

@@ -39,6 +39,18 @@ use crate::protocol::{
 /// can grow a handler's buffer without limit.
 const MAX_LINE_BYTES: usize = 1 << 20;
 
+/// Most qubits a request's code may have, checked before the code is
+/// built: a zoo size suffix implies its qubit count, and an inline code
+/// may have at most this many generators of at most this many letters. A
+/// bigger code could exhaust memory while it is built, and an allocation
+/// failure aborts the daemon, which no `catch_unwind` contains. Far above
+/// the largest pinned request (`surface_5`, 25 qubits).
+pub(crate) const MAX_QUBITS: usize = 1024;
+
+/// Most extraction rounds a request may ask for; far above the largest
+/// pinned request (3 rounds).
+pub(crate) const MAX_ROUNDS: usize = 64;
+
 /// Most connections served at once, one handler thread each. A connection
 /// past the cap, or one whose handler thread cannot be spawned, gets one
 /// `"busy"` error line and is closed; the accept loop keeps running.
@@ -1025,6 +1037,47 @@ mod tests {
         assert_eq!(handle.metrics().count("serve_malformed"), 1);
         handle.shutdown();
         handle.join().expect("clean join");
+    }
+
+    /// Sends an over-cap `request` and a valid one on one connection:
+    /// the first gets a structured error naming the cap, the second its
+    /// verdict.
+    fn refused_then_served(request: &str) {
+        let handle = Server::start(ServeConfig::default()).expect("bind");
+        let valid = r#"{"kind":"detection","code":"five_qubit","dt":3}"#;
+        let rs = roundtrip(handle.addr(), &[request, valid]);
+        assert_eq!(rs[0].get("ok").unwrap().as_bool(), Some(false));
+        let error = rs[0].get("error").unwrap().as_str().unwrap();
+        assert!(error.contains("capped"), "{error}");
+        assert_eq!(rs[1].get("ok").unwrap().as_bool(), Some(true));
+        handle.shutdown();
+        handle.join().expect("clean join");
+    }
+
+    #[test]
+    fn zoo_codes_past_the_qubit_cap_are_refused() {
+        // About 10^10 qubits if it were built.
+        refused_then_served(r#"{"kind":"detection","code":"surface_99999","dt":3}"#);
+    }
+
+    #[test]
+    fn rounds_past_the_cap_are_refused() {
+        refused_then_served(&format!(
+            r#"{{"kind":"distance","code":"steane","rounds":{}}}"#,
+            MAX_ROUNDS + 1
+        ));
+    }
+
+    #[test]
+    fn inline_codes_past_the_qubit_cap_are_refused() {
+        let many = vec!["\"ZZ\""; MAX_QUBITS + 1].join(",");
+        refused_then_served(&format!(
+            r#"{{"kind":"detection","stabilizers":[{many}],"dt":2}}"#
+        ));
+        let long = "Z".repeat(MAX_QUBITS + 1);
+        refused_then_served(&format!(
+            r#"{{"kind":"detection","stabilizers":["{long}"],"dt":2}}"#
+        ));
     }
 
     #[test]

@@ -1,20 +1,18 @@
 //! Schema tests for the machine-readable BENCH artifacts.
 //!
 //! CI uploads `BENCH_enumerators.json`, `BENCH_fault_tolerance.json` and
-//! `BENCH_kernels.json`; downstream tooling (the perf-regression gate,
-//! plotting scripts) parses them without serde. These tests generate each
-//! artifact in-process through the same writers the `tables` binary uses
-//! — `BatchReport::to_json` for the engine batches, `KernelsReport::to_json`
-//! for the kernel gate — then parse them back with `veriqec_bench::json`
-//! and assert the keys and invariants the consumers rely on.
+//! `BENCH_gate.json`; downstream tooling (the perf gate, plotting scripts)
+//! parses them without serde. These tests generate each artifact
+//! in-process through the same writers the `tables` binary uses —
+//! `BatchReport::to_json` for the engine batches, `gate::to_json` for the
+//! perf gate — then parse them back with `veriqec_bench::json` and assert
+//! the keys and invariants the consumers rely on.
 
 use veriqec::engine::{Engine, EngineConfig, Job};
 use veriqec::scenario::{faulty_memory_scenario, ErrorModel};
+use veriqec_bench::gate::{self, Row};
 use veriqec_bench::json::Json;
-use veriqec_bench::kernels::{KernelsReport, Metric};
-use veriqec_bench::solver_bench::{SolverMetric, SolverReport};
 use veriqec_codes::{five_qubit, repetition, steane};
-use veriqec_sat::SolverStats;
 
 /// Every engine batch shares this envelope.
 fn check_envelope(doc: &Json) -> Vec<Json> {
@@ -165,98 +163,62 @@ fn cancelled_before_claim_jobs_report_finite_queue_wait() {
 }
 
 #[test]
-fn kernels_report_matches_the_gate_schema() {
-    // The writer the `kernels` mode uses, on representative metrics — the
-    // measurement itself is covered by the bench targets; this pins the
-    // artifact schema the CI gate and baseline file depend on.
-    let report = KernelsReport {
-        quick: true,
-        metrics: vec![
-            Metric {
-                name: "xor_chain_d5".into(),
-                median_ns: 51234.5,
-                samples: 24,
-            },
-            Metric {
-                name: "frame_batch_d5".into(),
-                median_ns: 87.2,
-                samples: 24,
-            },
-        ],
-        frame_batch_speedup: 412.0,
-    };
-    let doc = Json::parse(&report.to_json()).expect("kernels report is valid JSON");
-    assert_eq!(
-        doc.get("schema").unwrap().as_str(),
-        Some("veriqec_kernels_v1")
-    );
+fn gate_report_matches_the_gate_schema() {
+    // The writer `tables gate` uses, on representative rows of every layer
+    // — the measurements themselves are covered by the crate's own tests;
+    // this pins the artifact schema that `bench_baselines.json` and the CI
+    // gate join against.
+    let rows = vec![
+        Row::lower("cexpr", "xor_chain_d5", "median_ns", 1234.5, "ns"),
+        Row::higher("qsim", "frame_batch_d5", "speedup", 412.0, "x"),
+        Row::lower("sat", "php_7_6", "propagations", 9425.0, "count"),
+        Row::higher("sat", "aggregate", "props_per_s", 3.75e6, "1/s"),
+        Row::lower("dd", "Steane [[7,1,3]]", "peak_nodes", 4000.0, "count"),
+        Row::higher("dd", "Steane [[7,1,3]]", "cache_hit_rate", 0.4, "ratio"),
+    ];
+    let doc = Json::parse(&gate::to_json(true, &rows)).expect("gate report is valid JSON");
+    assert_eq!(doc.get("schema").unwrap().as_str(), Some("veriqec_gate_v1"));
     assert_eq!(doc.get("quick").unwrap().as_bool(), Some(true));
-    assert!(doc.get("frame_batch_speedup").unwrap().as_f64().unwrap() >= 10.0);
-    let metrics = doc.get("metrics").unwrap().as_arr().unwrap();
-    assert!(!metrics.is_empty());
-    for m in metrics {
-        assert!(m.get("name").unwrap().as_str().is_some());
-        assert!(m.get("median_ns").unwrap().as_f64().unwrap() > 0.0);
-        assert!(m.get("samples").unwrap().as_f64().unwrap() > 0.0);
+    let parsed = doc.get("rows").unwrap().as_arr().unwrap();
+    assert_eq!(parsed.len(), rows.len());
+    let mut keys = Vec::new();
+    for r in parsed {
+        let text = |k: &str| r.get(k).unwrap().as_str().unwrap();
+        assert!(r.get("value").unwrap().as_f64().unwrap().is_finite());
+        assert!(!text("unit").is_empty());
+        assert!(matches!(text("better"), "lower" | "higher"));
+        keys.push((text("layer"), text("workload"), text("metric")));
     }
-    // The gate's join key: metric names are unique.
-    let mut names: Vec<&str> = metrics
-        .iter()
-        .map(|m| m.get("name").unwrap().as_str().unwrap())
-        .collect();
-    names.sort_unstable();
-    names.dedup();
-    assert_eq!(names.len(), metrics.len());
+    // The gate's join key: (layer, workload, metric) is unique.
+    let count = keys.len();
+    keys.sort_unstable();
+    keys.dedup();
+    assert_eq!(keys.len(), count);
 }
 
 #[test]
-fn solver_report_matches_the_gate_schema() {
-    // The writer `tables solver` uses, on a representative instance — the
-    // measurement itself is covered by the crate's own tests; this pins the
-    // artifact schema that `bench_baselines.json` and the CI solver gate
-    // join against.
-    let report = SolverReport {
-        quick: true,
-        metrics: vec![SolverMetric {
-            name: "php_7_6".into(),
-            verdict: "unsat".into(),
-            wall_ms: 3.2,
-            stats: SolverStats {
-                propagations: 120_000,
-                conflicts: 4_000,
-                learned: 4_000,
-                lbd_sum: 20_000,
-                ..SolverStats::default()
-            },
-        }],
-        props_per_sec: 3.75e7,
-        conflicts_per_sec: 1.25e6,
-    };
-    let doc = Json::parse(&report.to_json()).expect("solver report is valid JSON");
-    assert_eq!(
-        doc.get("schema").unwrap().as_str(),
-        Some("veriqec_solver_v1")
+fn checked_in_baselines_are_well_formed() {
+    // Against an empty report every row of `bench_baselines.json` must fail
+    // only as unmeasured: a malformed row, or an empty list, would show up
+    // as a different error.
+    let doc = Json::parse(include_str!("../bench_baselines.json")).expect("baseline parses");
+    let regressions = gate::check(&[], &doc);
+    let rows = doc.get("gates").unwrap().as_arr().unwrap();
+    assert_eq!(regressions.len(), rows.len());
+    assert!(
+        regressions.iter().all(|r| r.0.contains("was not measured")),
+        "{regressions:?}"
     );
-    assert_eq!(doc.get("quick").unwrap().as_bool(), Some(true));
-    assert!(doc.get("props_per_sec").unwrap().as_f64().unwrap() > 0.0);
-    assert!(doc.get("conflicts_per_sec").unwrap().as_f64().unwrap() > 0.0);
-    let instances = doc.get("instances").unwrap().as_arr().unwrap();
-    assert!(!instances.is_empty());
-    for m in instances {
-        // The gate's join key plus the fields plotting scripts consume.
-        assert!(m.get("name").unwrap().as_str().is_some());
-        assert!(m.get("verdict").unwrap().as_str().is_some());
-        assert!(m.get("wall_ms").unwrap().as_f64().unwrap() > 0.0);
-        assert!(m.get("propagations").unwrap().as_f64().unwrap() >= 0.0);
-        assert!(m.get("conflicts").unwrap().as_f64().unwrap() >= 0.0);
-        assert!(m.get("props_per_sec").unwrap().as_f64().unwrap() > 0.0);
-        assert!(m.get("mean_lbd").unwrap().as_f64().unwrap() >= 0.0);
-    }
-    let mut names: Vec<&str> = instances
-        .iter()
-        .map(|m| m.get("name").unwrap().as_str().unwrap())
-        .collect();
-    names.sort_unstable();
-    names.dedup();
-    assert_eq!(names.len(), instances.len());
+    // The two former floors are ordinary rows: 10x and 1.0e6/s at 3x.
+    let value = |layer: &str, workload: &str, metric: &str| {
+        rows.iter()
+            .find(|r| {
+                r.get("layer").unwrap().as_str() == Some(layer)
+                    && r.get("workload").unwrap().as_str() == Some(workload)
+                    && r.get("metric").unwrap().as_str() == Some(metric)
+            })
+            .and_then(|r| r.get("value").unwrap().as_f64())
+    };
+    assert_eq!(value("qsim", "frame_batch_d5", "speedup"), Some(30.0));
+    assert_eq!(value("sat", "aggregate", "props_per_s"), Some(3.0e6));
 }
