@@ -70,7 +70,11 @@ fn measure(code: &StabilizerCode, runs: usize, expect: Option<&[u128]>) -> Vec<R
             code.name()
         );
     }
-    let name = code.name();
+    code_rows(code.name(), wall_ms, final_nodes, stats)
+}
+
+/// The rows of one measured code.
+fn code_rows(name: &str, wall_ms: f64, final_nodes: u64, stats: DdStats) -> Vec<Row> {
     let count = |metric, value: u64| Row::lower("dd", name, metric, value as f64, "count");
     vec![
         Row::lower("dd", name, "wall_ms", wall_ms, "ms"),
@@ -113,6 +117,83 @@ pub fn run_dd_bench(quick: bool) -> Vec<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::fixtures::{failures, gates};
+    use crate::gate::to_json;
+    use crate::json::Json;
+
+    #[test]
+    fn report_json_round_trips_through_parser() {
+        let stats = DdStats {
+            nodes: 8_000,
+            peak_nodes: 4_000,
+            cache_lookups: 1000,
+            cache_hits: 400,
+            gc_runs: 2,
+            gc_reclaimed: 500,
+            arena_bytes: 12_000,
+            ..DdStats::default()
+        };
+        let rows = code_rows("steane", 2.5, 2_000, stats);
+        let doc = Json::parse(&to_json(true, &rows)).unwrap();
+        assert_eq!(doc.get("schema").unwrap().as_str(), Some("veriqec_gate_v1"));
+        assert_eq!(doc.get("quick").unwrap().as_bool(), Some(true));
+        let parsed = doc.get("rows").unwrap().as_arr().unwrap();
+        let value = |metric: &str| {
+            let row = parsed
+                .iter()
+                .find(|r| r.get("metric").unwrap().as_str() == Some(metric))
+                .unwrap_or_else(|| panic!("no {metric} row"));
+            assert_eq!(row.get("layer").unwrap().as_str(), Some("dd"));
+            assert_eq!(row.get("workload").unwrap().as_str(), Some("steane"));
+            row.get("value").unwrap().as_f64().unwrap()
+        };
+        assert_eq!(value("wall_ms"), 2.5);
+        assert_eq!(value("nodes"), 8_000.0);
+        assert_eq!(value("peak_nodes"), 4_000.0);
+        assert_eq!(value("final_nodes"), 2_000.0);
+        assert_eq!(value("cache_hit_rate"), 0.4);
+        assert_eq!(value("gc_runs"), 2.0);
+        assert_eq!(value("gc_reclaimed"), 500.0);
+        assert_eq!(value("arena_bytes"), 12_000.0);
+    }
+
+    #[test]
+    fn baseline_gate_flags_only_hard_regressions() {
+        let code = |name: &str, wall_ms: f64, peak: f64| {
+            [
+                Row::lower("dd", name, "wall_ms", wall_ms, "ms"),
+                Row::lower("dd", name, "peak_nodes", peak, "count"),
+            ]
+        };
+        let rows = [
+            code("fast", 2.0, 1_000.0),
+            code("slow", 100.0, 1_000.0),
+            code("bloated", 1.0, 90_000.0),
+        ]
+        .concat();
+        let baseline: Vec<(&str, &str, &str, f64)> = [
+            ("fast", 1.0, 800.0),
+            ("slow", 10.0, 800.0),
+            ("bloated", 1.0, 10_000.0),
+            ("gone", 5.0, 100.0),
+        ]
+        .iter()
+        .flat_map(|&(name, wall, peak)| {
+            [
+                ("dd", name, "wall_ms", wall),
+                ("dd", name, "peak_nodes", peak),
+            ]
+        })
+        .collect();
+        let regs = failures(&rows, &gates(&baseline));
+        // 'fast' is 2x the wall baseline — inside the 3x tolerance. 'slow'
+        // is 10x on wall, 'bloated' 9x on peak nodes, 'gone' unmeasured —
+        // once per baseline row it owns.
+        assert_eq!(regs.len(), 4, "{regs:?}");
+        assert!(regs.iter().any(|r| r.contains("slow/wall_ms")));
+        assert!(regs.iter().any(|r| r.contains("bloated/peak_nodes")));
+        assert_eq!(regs.iter().filter(|r| r.contains("gone")).count(), 2);
+    }
 
     #[test]
     fn cheap_codes_measure_and_pin_their_enumerators() {

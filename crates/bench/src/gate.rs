@@ -199,8 +199,37 @@ fn check_row(rows: &[Row], entry: &Json) -> Result<(), Regression> {
     }
 }
 
+/// Baseline documents and verdicts for the layer modules' gate tests.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use super::{check, Row};
+    use crate::json::Json;
+
+    /// A `gates` document with one row per `(layer, workload, metric, value)`.
+    pub fn gates(rows: &[(&str, &str, &str, f64)]) -> String {
+        let rows: Vec<String> = rows
+            .iter()
+            .map(|(layer, workload, metric, value)| {
+                format!(
+                    r#"{{"layer":"{layer}","workload":"{workload}","metric":"{metric}","value":{value}}}"#
+                )
+            })
+            .collect();
+        format!(r#"{{"gates":[{}]}}"#, rows.join(","))
+    }
+
+    /// The gate's failure messages for `rows` against a baseline document.
+    pub fn failures(rows: &[Row], baseline: &str) -> Vec<String> {
+        check(rows, &Json::parse(baseline).unwrap())
+            .into_iter()
+            .map(|r| r.0)
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::fixtures::{failures, gates};
     use super::*;
 
     #[test]
@@ -230,120 +259,50 @@ mod tests {
         assert!(to_markdown(&rows).contains("| sat | aggregate | props_per_s | 2500000 | 1/s |"));
     }
 
-    /// One fixture per layer — kernel medians, solver wall times, DD wall
-    /// times and peak nodes — plus the speedup and throughput floors:
-    /// within 3x passes; slow, bloated and unmeasured rows fail.
     #[test]
-    fn baseline_gate_flags_only_hard_regressions() {
-        let failures = |rows: &[Row], baseline: &str| -> Vec<String> {
-            check(rows, &Json::parse(baseline).unwrap())
-                .into_iter()
-                .map(|r| r.0)
-                .collect()
-        };
-        let gate = |layer: &str, workload: &str, metric: &str, value: f64| {
-            format!(
-                r#"{{"layer":"{layer}","workload":"{workload}","metric":"{metric}","value":{value}}}"#
-            )
-        };
-        let gates = |rows: &[String]| format!(r#"{{"gates":[{}]}}"#, rows.join(","));
-
-        // Kernel medians: 'fast' is 2x its baseline (inside 3x), 'slow' is
-        // 10x, 'gone' was never measured.
-        let rows = [
-            Row::lower("qsim", "fast", "median_ns", 100.0, "ns"),
-            Row::lower("qsim", "slow", "median_ns", 1000.0, "ns"),
-        ];
-        let regs = failures(
-            &rows,
-            &gates(&[
-                gate("qsim", "fast", "median_ns", 50.0),
-                gate("qsim", "slow", "median_ns", 100.0),
-                gate("qsim", "gone", "median_ns", 10.0),
-            ]),
-        );
-        assert_eq!(regs.len(), 2, "{regs:?}");
-        assert!(regs.iter().any(|r| r.contains("slow")));
-        assert!(regs.iter().any(|r| r.contains("gone")));
-
-        // Solver wall times: the same verdicts in milliseconds.
-        let rows = [
-            Row::lower("sat", "fast", "wall_ms", 2.0, "ms"),
-            Row::lower("sat", "slow", "wall_ms", 100.0, "ms"),
-        ];
-        let regs = failures(
-            &rows,
-            &gates(&[
-                gate("sat", "fast", "wall_ms", 1.0),
-                gate("sat", "slow", "wall_ms", 10.0),
-                gate("sat", "gone", "wall_ms", 5.0),
-            ]),
-        );
-        assert_eq!(regs.len(), 2, "{regs:?}");
-        assert!(regs.iter().any(|r| r.contains("slow")));
-        assert!(regs.iter().any(|r| r.contains("gone")));
-
-        // DD wall time and peak nodes: 'slow' is 10x on wall, 'bloated' 9x
-        // on peak nodes, 'gone' unmeasured.
-        let dd = |name: &str, wall_ms: f64, peak: f64| {
-            [
-                Row::lower("dd", name, "wall_ms", wall_ms, "ms"),
-                Row::lower("dd", name, "peak_nodes", peak, "count"),
-            ]
-        };
-        let rows: Vec<Row> = [
-            dd("fast", 2.0, 1_000.0),
-            dd("slow", 100.0, 1_000.0),
-            dd("bloated", 1.0, 90_000.0),
-        ]
-        .concat();
-        let baseline: Vec<String> = [
-            ("fast", 1.0, 800.0),
-            ("slow", 10.0, 800.0),
-            ("bloated", 1.0, 10_000.0),
-            ("gone", 5.0, 100.0),
-        ]
-        .iter()
-        .flat_map(|&(name, wall, peak)| {
-            [
-                gate("dd", name, "wall_ms", wall),
-                gate("dd", name, "peak_nodes", peak),
-            ]
-        })
-        .collect();
-        let regs = failures(&rows, &gates(&baseline));
-        // 'gone' fails once per baseline row it owns.
-        assert_eq!(regs.len(), 4, "{regs:?}");
-        assert!(regs.iter().any(|r| r.contains("slow/wall_ms")));
-        assert!(regs.iter().any(|r| r.contains("bloated/peak_nodes")));
-        assert_eq!(regs.iter().filter(|r| r.contains("gone")).count(), 2);
-
-        // The two floors are `higher` rows: a baseline of 30 fails below
-        // exactly 10, one of 3.0e6 below exactly 1.0e6.
-        let speedup = gates(&[gate("qsim", "frame_batch_d5", "speedup", 30.0)]);
+    fn nan_and_malformed_rows_fail() {
+        let speedup = gates(&[("qsim", "frame_batch_d5", "speedup", 30.0)]);
         let speedup_row = |v| [Row::higher("qsim", "frame_batch_d5", "speedup", v, "x")];
-        assert_eq!(failures(&speedup_row(2.0), &speedup).len(), 1);
-        assert!(failures(&speedup_row(10.0), &speedup).is_empty());
-        assert_eq!(failures(&speedup_row(9.99), &speedup).len(), 1);
-        let props = gates(&[gate("sat", "aggregate", "props_per_s", 3.0e6)]);
-        let props_row = |v| [Row::higher("sat", "aggregate", "props_per_s", v, "1/s")];
-        assert_eq!(failures(&props_row(10.0), &props).len(), 1);
-        assert!(failures(&props_row(1.0e6), &props).is_empty());
-        assert_eq!(failures(&props_row(0.99e6), &props).len(), 1);
-
+        assert!(failures(&speedup_row(50.0), &speedup).is_empty());
         // A NaN measurement fails in either direction.
         assert_eq!(failures(&speedup_row(f64::NAN), &speedup).len(), 1);
+        let wall = gates(&[("sat", "php_7_6", "wall_ms", 1.0)]);
+        let wall_row = [Row::lower("sat", "php_7_6", "wall_ms", f64::NAN, "ms")];
+        assert_eq!(failures(&wall_row, &wall).len(), 1);
 
-        // A malformed row fails; so do an empty and a missing list, which
-        // would otherwise gate nothing.
-        let regs = failures(
-            &speedup_row(50.0),
-            r#"{"gates":[{"layer":"qsim","workload":"frame_batch_d5","value":30}]}"#,
-        );
-        assert!(regs.len() == 1 && regs[0].contains("malformed"), "{regs:?}");
-        for doc in [r#"{"gates":[]}"#, r#"{"metrics":[]}"#] {
-            let regs = failures(&speedup_row(50.0), doc);
-            assert!(regs.len() == 1 && regs[0].contains("gates"), "{regs:?}");
+        // A row without a metric, and rows with a zero, negative or
+        // non-numeric value, are malformed.
+        for entry in [
+            r#"{"layer":"qsim","workload":"frame_batch_d5","value":30}"#,
+            r#"{"layer":"qsim","workload":"frame_batch_d5","metric":"speedup","value":0}"#,
+            r#"{"layer":"qsim","workload":"frame_batch_d5","metric":"speedup","value":-30}"#,
+            r#"{"layer":"qsim","workload":"frame_batch_d5","metric":"speedup","value":"30"}"#,
+        ] {
+            let regs = failures(&speedup_row(50.0), &format!(r#"{{"gates":[{entry}]}}"#));
+            assert!(regs.len() == 1 && regs[0].contains("malformed"), "{regs:?}");
+        }
+    }
+
+    /// The old per-section gates read a missing or misspelt section as
+    /// empty and gated nothing. One list that is empty, missing or
+    /// misspelt now fails as a whole.
+    #[test]
+    fn empty_or_missing_gates_list_fails() {
+        let rows = [
+            Row::lower("dd", "steane", "wall_ms", 1.0, "ms"),
+            Row::lower("dd", "steane", "peak_nodes", 100.0, "count"),
+        ];
+        for doc in [
+            r#"{"gates":[]}"#,
+            r#"{"metrics":[]}"#,
+            r#"{"dd_metrics":[{"name":"steane","wall_ms":1.0,"peak_nodes":100}]}"#,
+            r#"{"gates":{"layer":"dd","workload":"steane","metric":"wall_ms","value":1}}"#,
+        ] {
+            let regs = failures(&rows, doc);
+            assert!(
+                regs.len() == 1 && regs[0].contains("gates"),
+                "{doc}: {regs:?}"
+            );
         }
     }
 }

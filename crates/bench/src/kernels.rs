@@ -149,6 +149,9 @@ pub fn run_kernels(quick: bool) -> Vec<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::fixtures::{failures, gates};
+    use crate::gate::to_json;
+    use crate::json::Json;
 
     #[test]
     fn median_is_order_insensitive() {
@@ -156,5 +159,65 @@ mod tests {
         let m = median_ns(5, || calls += 1);
         assert_eq!(calls, 6); // warm-up + samples
         assert!(m >= 0.0);
+    }
+
+    #[test]
+    fn report_json_round_trips_through_parser() {
+        let rows = [
+            Row::lower("cexpr", "xor_chain_d5", "median_ns", 1234.5, "ns"),
+            Row::higher("qsim", "frame_batch_d5", "speedup", 42.0, "x"),
+        ];
+        let v = Json::parse(&to_json(true, &rows)).unwrap();
+        assert_eq!(v.get("schema").unwrap().as_str(), Some("veriqec_gate_v1"));
+        assert_eq!(v.get("quick").unwrap().as_bool(), Some(true));
+        let parsed = v.get("rows").unwrap().as_arr().unwrap();
+        let field = |i: usize, key: &str| parsed[i].get(key).unwrap().clone();
+        assert_eq!(field(0, "layer").as_str(), Some("cexpr"));
+        assert_eq!(field(0, "workload").as_str(), Some("xor_chain_d5"));
+        assert_eq!(field(0, "metric").as_str(), Some("median_ns"));
+        assert_eq!(field(0, "value").as_f64(), Some(1234.5));
+        assert_eq!(field(0, "better").as_str(), Some("lower"));
+        assert_eq!(field(1, "metric").as_str(), Some("speedup"));
+        assert_eq!(field(1, "value").as_f64(), Some(42.0));
+        assert_eq!(field(1, "better").as_str(), Some("higher"));
+    }
+
+    #[test]
+    fn baseline_gate_flags_only_hard_regressions() {
+        let rows = [
+            Row::lower("qsim", "fast", "median_ns", 100.0, "ns"),
+            Row::lower("qsim", "slow", "median_ns", 1000.0, "ns"),
+        ];
+        let regs = failures(
+            &rows,
+            &gates(&[
+                ("qsim", "fast", "median_ns", 50.0),
+                ("qsim", "slow", "median_ns", 100.0),
+                ("qsim", "gone", "median_ns", 10.0),
+            ]),
+        );
+        // 'fast' is 2x the baseline — inside the 3x tolerance. 'slow' is
+        // 10x — a hard regression. 'gone' was never measured.
+        assert_eq!(regs.len(), 2, "{regs:?}");
+        assert!(regs.iter().any(|r| r.contains("slow")));
+        assert!(regs.iter().any(|r| r.contains("gone")));
+    }
+
+    /// The batch-frame speedup floor is a `higher` row: a baseline of 30
+    /// fails below exactly 10.
+    #[test]
+    fn speedup_floor_is_enforced() {
+        let baseline = gates(&[("qsim", "frame_batch_d5", "speedup", 30.0)]);
+        let speedup = |v| {
+            failures(
+                &[Row::higher("qsim", "frame_batch_d5", "speedup", v, "x")],
+                &baseline,
+            )
+        };
+        let regs = speedup(2.0);
+        assert_eq!(regs.len(), 1);
+        assert!(regs[0].contains("speedup"));
+        assert!(speedup(10.0).is_empty());
+        assert_eq!(speedup(9.99).len(), 1);
     }
 }

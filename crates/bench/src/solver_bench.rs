@@ -106,6 +106,18 @@ fn per_sec(count: u64, wall_ms: f64) -> f64 {
     }
 }
 
+/// The rows of one measured instance.
+fn instance_rows(name: &'static str, wall_ms: f64, stats: SolverStats) -> [Row; 5] {
+    let props = stats.propagations;
+    [
+        Row::lower("sat", name, "wall_ms", wall_ms, "ms"),
+        Row::lower("sat", name, "propagations", props as f64, "count"),
+        Row::lower("sat", name, "conflicts", stats.conflicts as f64, "count"),
+        Row::higher("sat", name, "props_per_s", per_sec(props, wall_ms), "1/s"),
+        Row::lower("sat", name, "mean_lbd", stats.mean_learnt_lbd(), "lbd"),
+    ]
+}
+
 /// Runs every pinned instance and returns its rows. `quick` is the CI
 /// mode: fewer timed runs and the small instances only; the full mode adds
 /// PHP(8,7) and the surface-5 correction sweep.
@@ -167,17 +179,10 @@ pub fn run_solver_bench(quick: bool) -> Vec<Row> {
         }));
     }
 
-    let mut rows = Vec::new();
-    for &(name, wall_ms, stats) in &instances {
-        let props = stats.propagations;
-        rows.extend([
-            Row::lower("sat", name, "wall_ms", wall_ms, "ms"),
-            Row::lower("sat", name, "propagations", props as f64, "count"),
-            Row::lower("sat", name, "conflicts", stats.conflicts as f64, "count"),
-            Row::higher("sat", name, "props_per_s", per_sec(props, wall_ms), "1/s"),
-            Row::lower("sat", name, "mean_lbd", stats.mean_learnt_lbd(), "lbd"),
-        ]);
-    }
+    let mut rows: Vec<Row> = instances
+        .iter()
+        .flat_map(|&(name, wall_ms, stats)| instance_rows(name, wall_ms, stats))
+        .collect();
     let wall_ms: f64 = instances.iter().map(|i| i.1).sum();
     let props: u64 = instances.iter().map(|i| i.2.propagations).sum();
     let conflicts: u64 = instances.iter().map(|i| i.2.conflicts).sum();
@@ -203,6 +208,78 @@ pub fn run_solver_bench(quick: bool) -> Vec<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::fixtures::{failures, gates};
+    use crate::gate::to_json;
+    use crate::json::Json;
+
+    #[test]
+    fn report_json_round_trips_through_parser() {
+        let stats = SolverStats {
+            propagations: 100_000,
+            conflicts: 10_000,
+            learned: 10_000,
+            lbd_sum: 45_000,
+            ..SolverStats::default()
+        };
+        let rows = instance_rows("php_7_6", 2.5, stats);
+        let doc = Json::parse(&to_json(true, &rows)).unwrap();
+        assert_eq!(doc.get("schema").unwrap().as_str(), Some("veriqec_gate_v1"));
+        assert_eq!(doc.get("quick").unwrap().as_bool(), Some(true));
+        let parsed = doc.get("rows").unwrap().as_arr().unwrap();
+        let value = |metric: &str| {
+            let row = parsed
+                .iter()
+                .find(|r| r.get("metric").unwrap().as_str() == Some(metric))
+                .unwrap_or_else(|| panic!("no {metric} row"));
+            assert_eq!(row.get("layer").unwrap().as_str(), Some("sat"));
+            assert_eq!(row.get("workload").unwrap().as_str(), Some("php_7_6"));
+            row.get("value").unwrap().as_f64().unwrap()
+        };
+        assert_eq!(value("wall_ms"), 2.5);
+        assert_eq!(value("propagations"), 100_000.0);
+        assert_eq!(value("conflicts"), 10_000.0);
+        assert!((value("props_per_s") - 4.0e7).abs() < 1.0);
+        assert_eq!(value("mean_lbd"), 4.5);
+    }
+
+    #[test]
+    fn baseline_gate_flags_only_hard_regressions() {
+        let rows = [
+            Row::lower("sat", "fast", "wall_ms", 2.0, "ms"),
+            Row::lower("sat", "slow", "wall_ms", 100.0, "ms"),
+        ];
+        let regs = failures(
+            &rows,
+            &gates(&[
+                ("sat", "fast", "wall_ms", 1.0),
+                ("sat", "slow", "wall_ms", 10.0),
+                ("sat", "gone", "wall_ms", 5.0),
+            ]),
+        );
+        // 'fast' is 2x the baseline — inside the 3x tolerance. 'slow' is
+        // 10x — a hard regression. 'gone' was never measured.
+        assert_eq!(regs.len(), 2, "{regs:?}");
+        assert!(regs.iter().any(|r| r.contains("slow")));
+        assert!(regs.iter().any(|r| r.contains("gone")));
+    }
+
+    /// The propagation-rate floor is a `higher` row: a baseline of 3.0e6
+    /// fails below exactly 1.0e6.
+    #[test]
+    fn throughput_floor_is_enforced() {
+        let baseline = gates(&[("sat", "aggregate", "props_per_s", 3.0e6)]);
+        let rate = |v| {
+            failures(
+                &[Row::higher("sat", "aggregate", "props_per_s", v, "1/s")],
+                &baseline,
+            )
+        };
+        let regs = rate(10.0);
+        assert_eq!(regs.len(), 1);
+        assert!(regs[0].contains("aggregate/props_per_s"));
+        assert!(rate(1.0e6).is_empty());
+        assert_eq!(rate(0.99e6).len(), 1);
+    }
 
     #[test]
     fn pinned_pure_sat_instances_solve_as_expected() {

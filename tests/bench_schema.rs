@@ -162,38 +162,113 @@ fn cancelled_before_claim_jobs_report_finite_queue_wait() {
     assert!(!md.contains("NaN"));
 }
 
-#[test]
-fn gate_report_matches_the_gate_schema() {
-    // The writer `tables gate` uses, on representative rows of every layer
-    // — the measurements themselves are covered by the crate's own tests;
-    // this pins the artifact schema that `bench_baselines.json` and the CI
-    // gate join against.
-    let rows = vec![
-        Row::lower("cexpr", "xor_chain_d5", "median_ns", 1234.5, "ns"),
-        Row::higher("qsim", "frame_batch_d5", "speedup", 412.0, "x"),
-        Row::lower("sat", "php_7_6", "propagations", 9425.0, "count"),
-        Row::higher("sat", "aggregate", "props_per_s", 3.75e6, "1/s"),
-        Row::lower("dd", "Steane [[7,1,3]]", "peak_nodes", 4000.0, "count"),
-        Row::higher("dd", "Steane [[7,1,3]]", "cache_hit_rate", 0.4, "ratio"),
-    ];
-    let doc = Json::parse(&gate::to_json(true, &rows)).expect("gate report is valid JSON");
+/// Writes `rows` through the writer `tables gate` uses and checks the
+/// `veriqec_gate_v1` envelope, the fields of every row and the gate's join
+/// key, `(layer, workload, metric)`, which must be unique. Returns the
+/// parsed rows.
+fn check_gate_report(rows: &[Row]) -> Vec<Json> {
+    let doc = Json::parse(&gate::to_json(true, rows)).expect("gate report is valid JSON");
     assert_eq!(doc.get("schema").unwrap().as_str(), Some("veriqec_gate_v1"));
     assert_eq!(doc.get("quick").unwrap().as_bool(), Some(true));
-    let parsed = doc.get("rows").unwrap().as_arr().unwrap();
+    let parsed = doc.get("rows").unwrap().as_arr().unwrap().to_vec();
     assert_eq!(parsed.len(), rows.len());
     let mut keys = Vec::new();
-    for r in parsed {
+    for r in &parsed {
         let text = |k: &str| r.get(k).unwrap().as_str().unwrap();
         assert!(r.get("value").unwrap().as_f64().unwrap().is_finite());
         assert!(!text("unit").is_empty());
         assert!(matches!(text("better"), "lower" | "higher"));
         keys.push((text("layer"), text("workload"), text("metric")));
     }
-    // The gate's join key: (layer, workload, metric) is unique.
     let count = keys.len();
     keys.sort_unstable();
     keys.dedup();
     assert_eq!(keys.len(), count);
+    parsed
+}
+
+/// The row of `rows` under `(layer, workload, metric)`.
+fn find<'a>(rows: &'a [Json], layer: &str, workload: &str, metric: &str) -> &'a Json {
+    rows.iter()
+        .find(|r| {
+            r.get("layer").unwrap().as_str() == Some(layer)
+                && r.get("workload").unwrap().as_str() == Some(workload)
+                && r.get("metric").unwrap().as_str() == Some(metric)
+        })
+        .unwrap_or_else(|| panic!("no {layer}/{workload}/{metric} row"))
+}
+
+#[test]
+fn kernels_report_matches_the_gate_schema() {
+    // Representative kernel rows — the measurement itself is covered by the
+    // bench targets; this pins the artifact schema the CI gate and baseline
+    // file depend on.
+    let rows = check_gate_report(&[
+        Row::lower("cexpr", "xor_chain_d5", "median_ns", 51234.5, "ns"),
+        Row::lower("reduce", "branch_resolution_d5", "median_ns", 8123.0, "ns"),
+        Row::lower("qsim", "frame_sequential_d5", "median_ns", 35900.0, "ns"),
+        Row::lower("qsim", "frame_batch_d5", "median_ns", 87.2, "ns"),
+        Row::higher("qsim", "frame_batch_d5", "speedup", 412.0, "x"),
+    ]);
+    for r in &rows {
+        if r.get("metric").unwrap().as_str() == Some("median_ns") {
+            assert!(r.get("value").unwrap().as_f64().unwrap() > 0.0);
+            assert_eq!(r.get("unit").unwrap().as_str(), Some("ns"));
+            assert_eq!(r.get("better").unwrap().as_str(), Some("lower"));
+        }
+    }
+    let speedup = find(&rows, "qsim", "frame_batch_d5", "speedup");
+    assert!(speedup.get("value").unwrap().as_f64().unwrap() >= 10.0);
+    assert_eq!(speedup.get("better").unwrap().as_str(), Some("higher"));
+}
+
+#[test]
+fn solver_report_matches_the_gate_schema() {
+    // A representative instance plus the aggregate rates — the measurement
+    // itself is covered by the crate's own tests; this pins the rows that
+    // `bench_baselines.json` and the CI gate join against, and the fields
+    // plotting scripts consume.
+    let instance = |metric, value, unit| Row::lower("sat", "php_7_6", metric, value, unit);
+    let rows = check_gate_report(&[
+        instance("wall_ms", 3.2, "ms"),
+        instance("propagations", 120_000.0, "count"),
+        instance("conflicts", 4_000.0, "count"),
+        Row::higher("sat", "php_7_6", "props_per_s", 3.75e7, "1/s"),
+        instance("mean_lbd", 5.0, "lbd"),
+        Row::higher("sat", "aggregate", "props_per_s", 3.75e7, "1/s"),
+        Row::higher("sat", "aggregate", "conflicts_per_s", 1.25e6, "1/s"),
+    ]);
+    for metric in [
+        "wall_ms",
+        "propagations",
+        "conflicts",
+        "props_per_s",
+        "mean_lbd",
+    ] {
+        let value = find(&rows, "sat", "php_7_6", metric).get("value").unwrap();
+        assert!(value.as_f64().unwrap() >= 0.0, "{metric}");
+    }
+    for metric in ["props_per_s", "conflicts_per_s"] {
+        let row = find(&rows, "sat", "aggregate", metric);
+        assert!(row.get("value").unwrap().as_f64().unwrap() > 0.0);
+        assert_eq!(row.get("better").unwrap().as_str(), Some("higher"));
+    }
+}
+
+#[test]
+fn gate_report_matches_the_gate_schema() {
+    // One report holds every layer; a workload name may repeat across
+    // metrics and layers, the full key may not.
+    let rows = check_gate_report(&[
+        Row::lower("cexpr", "xor_chain_d5", "median_ns", 1234.5, "ns"),
+        Row::higher("qsim", "frame_batch_d5", "speedup", 412.0, "x"),
+        Row::lower("sat", "php_7_6", "propagations", 9425.0, "count"),
+        Row::higher("sat", "aggregate", "props_per_s", 3.75e6, "1/s"),
+        Row::lower("dd", "Steane [[7,1,3]]", "peak_nodes", 4000.0, "count"),
+        Row::higher("dd", "Steane [[7,1,3]]", "cache_hit_rate", 0.4, "ratio"),
+    ]);
+    let dd = find(&rows, "dd", "Steane [[7,1,3]]", "peak_nodes");
+    assert_eq!(dd.get("value").unwrap().as_f64(), Some(4000.0));
 }
 
 #[test]
