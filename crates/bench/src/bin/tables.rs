@@ -16,8 +16,9 @@
 //!
 //! `gate` is the CI perf gate: it measures the hot GF(2), reduction and
 //! frame kernels, CDCL throughput on pinned pure-SAT and zoo instances,
-//! and decision-diagram compile-and-count sessions on pinned codes
-//! (verdicts and coefficients re-asserted), and writes every number as a
+//! decision-diagram compile-and-count sessions on pinned codes, and the
+//! work of one-worker surface d=5 correction jobs (verdicts and
+//! coefficients re-asserted), and writes every number as a
 //! `{layer, workload, metric, value, unit, better}` row of one
 //! `BENCH_gate.json`. It takes `--quick` for the CI subset and `--check
 //! <baseline.json>` to gate the rows against a checked-in baseline — the
@@ -263,17 +264,18 @@ fn gate_complete(batch: &veriqec::engine::BatchReport) {
 }
 
 /// `tables gate [--quick] [--check <baseline.json>]`: measures the kernel,
-/// solver and decision-diagram layers (every pinned verdict and enumerator
-/// re-asserted, carbon \[\[12,2,4\]\] bit-for-bit), prints their rows as one
+/// solver, decision-diagram and engine layers (every pinned verdict and
+/// enumerator re-asserted, carbon \[\[12,2,4\]\] bit-for-bit), prints their rows as one
 /// table, writes `BENCH_gate.json`, and — with `--check` — gates the rows
 /// against the checked-in baseline, exiting nonzero on any hard regression.
 fn gate(quick: bool, baseline: Option<&str>) {
-    use veriqec_bench::{dd_bench, gate, json::Json, kernels, solver_bench};
+    use veriqec_bench::{dd_bench, engine_bench, gate, json::Json, kernels, solver_bench};
 
     println!("\n### Perf gate{}\n", if quick { " (quick)" } else { "" });
     let mut rows = kernels::run_kernels(quick);
     rows.extend(solver_bench::run_solver_bench(quick));
     rows.extend(dd_bench::run_dd_bench(quick));
+    rows.extend(engine_bench::run_engine_bench());
     print!("{}", gate::to_markdown(&rows));
     let artifact = "BENCH_gate.json";
     std::fs::write(artifact, gate::to_json(quick, &rows)).expect("artifact writable");

@@ -1,8 +1,8 @@
 //! The CI perf gate: one row schema, one writer, one checker.
 //!
-//! Every micro-layer measurement ([`crate::kernels`], [`crate::solver_bench`],
-//! [`crate::dd_bench`]) is a list of [`Row`]s `{layer, workload, metric,
-//! value, unit, better}`. `tables gate [--quick]` writes them all to one
+//! Every layer measurement ([`crate::kernels`], [`crate::solver_bench`],
+//! [`crate::dd_bench`], [`crate::engine_bench`]) is a list of [`Row`]s
+//! `{layer, workload, metric, value, unit, better}`. `tables gate [--quick]` writes them all to one
 //! `BENCH_gate.json` ([`to_json`]) and prints them as one long-format table
 //! ([`to_markdown`]); with `--check <baseline.json>` [`check`] compares them
 //! against the `gates` list of the checked-in `bench_baselines.json` under

@@ -4,9 +4,10 @@
 //! the paper's evaluation section; `DESIGN.md` maps experiment ids to
 //! targets, and `EXPERIMENTS.md` records paper-vs-measured results. The
 //! CI perf gate (`tables gate` → `BENCH_gate.json`) measures
-//! three micro-layers — [`kernels`] (GF(2), reduction and frame kernels),
-//! [`solver_bench`] (CDCL throughput) and [`dd_bench`] (decision-diagram
-//! compiles) — as rows of one schema, which [`gate`] writes and checks
+//! four layers — [`kernels`] (GF(2), reduction and frame kernels),
+//! [`solver_bench`] (CDCL throughput), [`dd_bench`] (decision-diagram
+//! compiles) and [`engine_bench`] (correction-job work) — as rows of one
+//! schema, which [`gate`] writes and checks
 //! against `bench_baselines.json`. [`json`] is the minimal parser the gate
 //! and the artifact schema tests read with (the tree is offline — no serde;
 //! the parser itself lives in `veriqec_serve`, which also feeds it the
@@ -19,6 +20,7 @@ use veriqec_codes::{rotated_surface, StabilizerCode};
 use veriqec_vcgen::VcProblem;
 
 pub mod dd_bench;
+pub mod engine_bench;
 pub mod gate;
 pub use veriqec_serve::json;
 pub mod kernels;

@@ -24,20 +24,24 @@
 //!   including [`JobKind::Count`] failure-enumerator jobs served by the
 //!   decision-diagram backend).
 //!   Correction jobs stream their enumeration cubes lazily from
-//!   [`SubtaskIter`]; each worker keeps one persistent session per job.
+//!   [`SubtaskIter`], largest first; a job is encoded once, each worker
+//!   solves its cubes in a clone of that encoding, claims stick to the job
+//!   a worker holds a session for, and a job's sessions exchange short
+//!   learnt clauses.
 //!   Cancellation is cooperative at both levels (whole batch, single job on
 //!   its first counterexample), statistics are per-job, and
 //!   [`BatchReport`] renders as markdown or machine-readable JSON.
 
 use std::collections::HashMap;
+use std::iter::Peekable;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use veriqec_cexpr::{BExp, CMem, VarId};
 use veriqec_codes::StabilizerCode;
 use veriqec_dd::{CompileConfig, CompileError, DdStats};
-use veriqec_sat::{Lit, SolverConfig, SolverStats};
+use veriqec_sat::{ClauseExchange, Lit, SolverConfig, SolverStats};
 use veriqec_smt::{CardinalityHandle, CheckResult, SmtContext};
 use veriqec_vcgen::{VcOutcome, VcProblem, VcSession};
 
@@ -651,7 +655,8 @@ pub struct Job {
 pub enum JobKind {
     /// General verification by parallel enumeration over `enum_vars`
     /// (typically the scenario's error indicators): cubes stream lazily to
-    /// the pool, every worker holds one persistent session for the problem.
+    /// the pool, and every worker serving the job solves them in its own
+    /// clone of the job's one base encoding (see [`Engine::run`]).
     Correction {
         /// The assembled problem (error model baked in).
         problem: VcProblem,
@@ -1247,14 +1252,69 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// A claimable work item: one enumeration cube of a correction job, or the
 /// whole of a detection/distance job.
 enum WorkItem {
-    Cube(usize, Vec<(VarId, bool)>),
+    /// A cube of job `job`, with the job's shared base for a worker that
+    /// holds no session for the job yet.
+    Cube {
+        job: usize,
+        cube: Vec<(VarId, bool)>,
+        base: Arc<CubeBase>,
+    },
     Whole(usize),
+}
+
+impl WorkItem {
+    fn job(&self) -> usize {
+        match self {
+            WorkItem::Cube { job, .. } | WorkItem::Whole(job) => *job,
+        }
+    }
+}
+
+/// What every worker session of one correction job is cloned from: the
+/// base encoding (made once, by the job's first claimant, with every
+/// enumeration variable's literal resolved so a clone never allocates a
+/// variable) and the job's learnt-clause exchange. The job's source drops
+/// its handle once the last cube is handed out; in-flight claims keep it
+/// alive until their worker has cloned its session.
+#[derive(Default)]
+struct CubeBase {
+    encoded: OnceLock<VcSession>,
+    exchange: Arc<ClauseExchange>,
+}
+
+impl CubeBase {
+    /// A fresh worker session for correction job `st`: a clone of the base
+    /// encoding (encoded here on first use), stopped by the job's cancel
+    /// flag and joined to the job's clause exchange.
+    fn session(&self, st: &JobState, solver: SolverConfig) -> VcSession {
+        let JobKind::Correction {
+            problem, enum_vars, ..
+        } = &st.kind
+        else {
+            unreachable!("cubes only stream from correction jobs")
+        };
+        let encoded = self.encoded.get_or_init(|| {
+            let mut base = problem.session(solver);
+            for &v in enum_vars {
+                base.ctx_mut().lit_of(v);
+            }
+            base
+        });
+        let mut session = encoded.clone();
+        session.set_stop_flag(Arc::clone(&st.cancel));
+        session.share_clauses(Arc::clone(&self.exchange));
+        session
+    }
 }
 
 /// Where a job's remaining work comes from.
 enum JobSource {
-    /// Lazily streamed enumeration cubes.
-    Cubes(SubtaskIter),
+    /// Lazily streamed enumeration cubes and the base their sessions are
+    /// cloned from.
+    Cubes {
+        cubes: Peekable<SubtaskIter>,
+        base: Arc<CubeBase>,
+    },
     /// A single indivisible item, claimed at most once.
     Whole { claimed: bool },
     /// Nothing left to hand out.
@@ -1280,6 +1340,8 @@ struct JobState {
     queue_wait: Mutex<Option<Duration>>,
     /// First recorded budget-trip reason (see [`JobReport::reason`]).
     reason: Mutex<Option<String>>,
+    /// Set once the job is counted in the heartbeat's jobs-done gauge.
+    counted: AtomicBool,
 }
 
 impl JobState {
@@ -1287,7 +1349,10 @@ impl JobState {
         let source = match &job.kind {
             JobKind::Correction {
                 enum_vars, split, ..
-            } => JobSource::Cubes(SubtaskIter::new(enum_vars.clone(), *split)),
+            } => JobSource::Cubes {
+                cubes: SubtaskIter::new(enum_vars.clone(), *split).peekable(),
+                base: Arc::default(),
+            },
             JobKind::Detection { .. }
             | JobKind::Distance { .. }
             | JobKind::Count { .. }
@@ -1307,7 +1372,66 @@ impl JobState {
             queued_at: Instant::now(),
             queue_wait: Mutex::new(None),
             reason: Mutex::new(None),
+            counted: AtomicBool::new(false),
         }
+    }
+
+    /// Counts the job in the heartbeat's jobs-done gauge, exactly once
+    /// whether it completes, hands out its last cube or is cancelled.
+    fn count_done(&self) {
+        if !self.counted.swap(true, Ordering::Relaxed) {
+            veriqec_obs::heartbeat::JOBS_DONE.add(1);
+        }
+    }
+
+    /// True while the job has cubes left to hand out and is not cancelled:
+    /// the condition for a worker to keep its session for the job.
+    fn has_cubes(&self) -> bool {
+        !self.cancel.load(Ordering::Relaxed)
+            && matches!(*lock_unpoisoned(&self.source), JobSource::Cubes { .. })
+    }
+
+    /// Claims the job's next item, or `None` when it has none left. With
+    /// `unstarted` set, claims only if no item was handed out yet. A
+    /// cancelled job drops its remaining work (and its shared base) here
+    /// and is counted done.
+    fn claim(&self, job: usize, unstarted: bool) -> Option<WorkItem> {
+        let mut src = lock_unpoisoned(&self.source);
+        if self.cancel.load(Ordering::Relaxed) {
+            *src = JobSource::Exhausted;
+            drop(src);
+            self.count_done();
+            return None;
+        }
+        if unstarted && self.issued.load(Ordering::Relaxed) > 0 {
+            return None;
+        }
+        let item = match &mut *src {
+            JobSource::Cubes { cubes, base } => {
+                let base = Arc::clone(base);
+                let cube = cubes.next();
+                if cubes.peek().is_none() {
+                    // Last cube handed out ≈ job done: close enough for the
+                    // heartbeat's ETA (in-flight cubes finish within one
+                    // claim). The base goes once its in-flight claims have
+                    // cloned their sessions.
+                    *src = JobSource::Exhausted;
+                    self.count_done();
+                }
+                WorkItem::Cube {
+                    job,
+                    cube: cube?,
+                    base,
+                }
+            }
+            JobSource::Whole { claimed } if !*claimed => {
+                *claimed = true;
+                WorkItem::Whole(job)
+            }
+            _ => return None,
+        };
+        self.issued.fetch_add(1, Ordering::Relaxed);
+        Some(item)
     }
 
     /// Records how long the job waited in the queue, on its first claim.
@@ -1354,35 +1478,29 @@ impl JobState {
     }
 }
 
-/// Claims the next work item, scanning jobs in submission order (so a batch
-/// drains front-to-back, with later jobs picked up as soon as workers free
-/// up or earlier jobs cancel).
-fn next_item(states: &[JobState]) -> Option<WorkItem> {
-    for (j, st) in states.iter().enumerate() {
-        if st.cancel.load(Ordering::Relaxed) {
-            continue;
-        }
-        let mut src = lock_unpoisoned(&st.source);
-        match &mut *src {
-            JobSource::Cubes(iter) => {
-                if let Some(cube) = iter.next() {
-                    st.issued.fetch_add(1, Ordering::Relaxed);
-                    return Some(WorkItem::Cube(j, cube));
-                }
-                *src = JobSource::Exhausted;
-                // Last cube issued ≈ job done: close enough for the
-                // heartbeat's ETA (in-flight cubes finish within one claim).
-                veriqec_obs::heartbeat::JOBS_DONE.add(1);
-            }
-            JobSource::Whole { claimed } if !*claimed => {
-                *claimed = true;
-                st.issued.fetch_add(1, Ordering::Relaxed);
-                return Some(WorkItem::Whole(j));
-            }
-            _ => {}
-        }
-    }
-    None
+/// Claims the next work item for a worker holding sessions for the jobs in
+/// `held`, in three passes over the jobs in submission order:
+///
+/// 1. a cube of a job whose session this worker holds, where its learnt
+///    state is already warm;
+/// 2. otherwise the first job no worker has started;
+/// 3. otherwise any remaining cube (stealing from a job another worker
+///    started).
+///
+/// So workers spread over jobs before they share one, and a batch still
+/// drains front-to-back.
+fn next_item(states: &[JobState], held: &HashMap<usize, VcSession>) -> Option<WorkItem> {
+    let scan = |unstarted: bool| {
+        states
+            .iter()
+            .enumerate()
+            .find_map(|(j, st)| st.claim(j, unstarted))
+    };
+    (0..states.len())
+        .filter(|j| held.contains_key(j))
+        .find_map(|j| states[j].claim(j, false))
+        .or_else(|| scan(true))
+        .or_else(|| scan(false))
 }
 
 /// Asks a whole job's question of a fresh session (or counts it).
@@ -1449,6 +1567,14 @@ impl Engine {
 
     /// Runs a batch of jobs to completion (or cancellation) on the
     /// engine-owned worker pool and reports per-job outcomes and statistics.
+    ///
+    /// A worker keeps claiming cubes of the correction job it holds a
+    /// session for, then takes the first job no worker has started, and
+    /// only then steals cubes of jobs other workers started. Its session
+    /// for a correction job is a clone of the job's one base encoding,
+    /// joined to the job's learnt-clause exchange, and is dropped (its
+    /// statistics folded into the job) once the job has no cubes left to
+    /// hand out or is cancelled.
     pub fn run(&self, jobs: Vec<Job>) -> BatchReport {
         let start = Instant::now();
         let _batch_span = veriqec_obs::span("engine", "batch");
@@ -1526,6 +1652,10 @@ impl Engine {
             });
         });
         let batch_cancelled = self.cancel.load(Ordering::Relaxed);
+        // A job cancelled with its batch may never have been scanned again.
+        for st in &states {
+            st.count_done();
+        }
         let jobs = states
             .into_iter()
             .map(|st| {
@@ -1581,8 +1711,17 @@ impl Engine {
     }
 
     /// One worker: claim items until the queue drains or the batch cancels.
-    /// Correction jobs get one persistent [`VcSession`] per worker (base
-    /// encoded once, cubes arrive as assumptions).
+    ///
+    /// A correction job's cubes are solved in a session this worker clones
+    /// from the job's one base encoding (the cube literals are resolved on
+    /// the base, so every clone numbers variables identically) and keeps
+    /// while the job has cubes left; cubes then arrive as assumptions. The
+    /// job's sessions exchange short low-glue learnt clauses (see
+    /// [`ClauseExchange`]). Claims are session-affine (see [`next_item`]):
+    /// a worker keeps serving the job it holds a session for, so a job is
+    /// spread over workers only once no unstarted job is left. A session is
+    /// dropped, its statistics folded into its job, as soon as the job has
+    /// no cubes left to hand out or is cancelled.
     fn worker(&self, states: &[JobState]) {
         let mut sessions: HashMap<usize, VcSession> = HashMap::new();
         loop {
@@ -1592,12 +1731,19 @@ impl Engine {
                 }
                 break;
             }
-            let Some(item) = next_item(states) else {
+            let item = next_item(states, &sessions);
+            let idx = item.as_ref().map(WorkItem::job);
+            sessions.retain(|&j, s| {
+                let keep = Some(j) == idx || states[j].has_cubes();
+                if !keep {
+                    *lock_unpoisoned(&states[j].stats) += s.solver_stats();
+                }
+                keep
+            });
+            let Some(item) = item else {
                 break;
             };
-            let idx = match &item {
-                WorkItem::Cube(j, _) | WorkItem::Whole(j) => *j,
-            };
+            let idx = item.job();
             let is_whole = matches!(item, WorkItem::Whole(_));
             // Queue wait ends at the first claim and busy time starts
             // after it, so the two never overlap: busy measures work, not
@@ -1614,16 +1760,13 @@ impl Engine {
             // erroring with a recorded reason — never to a dead worker or a
             // poisoned-mutex cascade, which a resident server cannot afford.
             let work = std::panic::AssertUnwindSafe(|| match item {
-                WorkItem::Cube(j, cube) => {
-                    let st = &states[j];
-                    let session = sessions.entry(j).or_insert_with(|| {
-                        let JobKind::Correction { problem, .. } = &st.kind else {
-                            unreachable!("cubes only stream from correction jobs")
-                        };
-                        let mut s = problem.session(self.config.solver);
-                        s.set_stop_flag(Arc::clone(&st.cancel));
-                        s
-                    });
+                WorkItem::Cube { job, cube, base } => {
+                    let st = &states[job];
+                    let session = sessions
+                        .entry(job)
+                        .or_insert_with(|| base.session(st, self.config.solver));
+                    drop(base);
+                    let vars = session.ctx_mut().num_sat_vars();
                     let assumptions: Vec<Lit> = cube
                         .iter()
                         .map(|&(v, val)| {
@@ -1635,6 +1778,11 @@ impl Engine {
                             }
                         })
                         .collect();
+                    debug_assert_eq!(
+                        session.ctx_mut().num_sat_vars(),
+                        vars,
+                        "a cube session must never allocate a variable"
+                    );
                     match session.query(&assumptions) {
                         VcOutcome::Verified => {}
                         VcOutcome::CounterExample(m) => {
@@ -1677,10 +1825,11 @@ impl Engine {
             }
             *lock_unpoisoned(&states[idx].busy) += t0.elapsed();
             if is_whole {
-                veriqec_obs::heartbeat::JOBS_DONE.add(1);
+                states[idx].count_done();
             }
         }
-        // Fold this worker's session statistics into their jobs.
+        // Fold the statistics of the sessions still held (a batch cancel
+        // stops the loop before their jobs run dry) into their jobs.
         for (j, s) in sessions {
             *lock_unpoisoned(&states[j].stats) += s.solver_stats();
         }
@@ -1941,6 +2090,67 @@ mod tests {
         assert!(report
             .to_markdown()
             .contains("| steane_enumerator | enumerator |"));
+    }
+
+    /// A correction job on `code` at weight bound `t`, split as the
+    /// benchmarks split it (`ET` distance `d`, threshold `2d + 4`).
+    fn correction_job(code: &StabilizerCode, name: &str, t: i64) -> (VcProblem, Job) {
+        let d = code.claimed_distance().expect("zoo codes claim a distance");
+        let scenario = memory_scenario(code, ErrorModel::YErrors);
+        let problem = build_problem(&scenario, t, vec![]);
+        let split = SplitConfig {
+            heuristic_distance: d,
+            et_threshold: 2 * d + 4,
+        };
+        let job = Job::correction(name, problem.clone(), scenario.error_vars, split);
+        (problem, job)
+    }
+
+    fn run_on(workers: usize, jobs: Vec<Job>) -> BatchReport {
+        Engine::new(EngineConfig {
+            workers,
+            solver: SolverConfig::default(),
+        })
+        .run(jobs)
+    }
+
+    #[test]
+    fn multi_worker_correction_agrees_with_sequential_solves() {
+        let mut expected = Vec::new();
+        let mut jobs = Vec::new();
+        for code in [steane(), rotated_surface(3), rotated_surface(5)] {
+            let d = code.claimed_distance().unwrap() as i64;
+            for t in [(d - 1) / 2, (d + 1) / 2] {
+                let (problem, job) = correction_job(&code, &format!("d{d}_t{t}"), t);
+                let verified = problem.check().0.is_verified();
+                assert_eq!(verified, t < (d + 1) / 2, "sequential d={d} t={t}");
+                // Alone on two workers: both sessions serve the one job and
+                // exchange clauses.
+                let alone = run_on(2, vec![job.clone()]).jobs.remove(0);
+                assert_eq!(alone.outcome.is_verified(), verified, "{}", job.name);
+                assert!(alone.outcome.is_conclusive(), "{}", job.name);
+                expected.push(verified);
+                jobs.push(job);
+            }
+        }
+        // Together on three workers: affine claims spread the workers over
+        // the jobs, then steal the remaining cubes.
+        let batch = run_on(3, jobs);
+        for (job, verified) in batch.jobs.iter().zip(expected) {
+            assert_eq!(job.outcome.is_verified(), verified, "{}", job.name);
+            assert!(job.outcome.is_conclusive(), "{}", job.name);
+            assert!(job.stats.propagations > 0, "{}: stats are folded", job.name);
+        }
+    }
+
+    #[test]
+    fn one_worker_counterexample_job_issues_two_cubes() {
+        // Largest cube first: the all-zero prefix is refuted, and the
+        // second cube holds the weight-3 counterexample.
+        let (_, job) = correction_job(&rotated_surface(5), "surface5_t3", 3);
+        let report = run_on(1, vec![job]).jobs.remove(0);
+        assert!(matches!(report.outcome, JobOutcome::CounterExample(_)));
+        assert_eq!(report.subtasks, 2);
     }
 
     #[test]

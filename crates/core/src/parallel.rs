@@ -5,11 +5,14 @@
 //! selected error indicators; enumeration stops when the paper's heuristic
 //! `ET = 2d·N(ones) + N(bits) > threshold` fires, and the residual subtask
 //! goes to a SAT solver. Subtasks are *streamed* from [`SubtaskIter`] — the
-//! exponential enumeration is never materialized. A
+//! exponential enumeration is never materialized — largest cube first: the
+//! all-zero prefix, which holds most of the low-weight assignments, comes
+//! out first and the cheap cubes with many ones trail. A
 //! [`crate::engine::JobKind::Correction`] job hands them to the engine's
-//! worker pool ([`crate::engine::Engine::run`]), which cancels on the first
-//! counterexample: the architecture of the paper's 250-core driver, scaled
-//! to a thread count.
+//! worker pool ([`crate::engine::Engine::run`]), whose workers solve them
+//! in clones of one base encoding that exchange short learnt clauses, and
+//! cancels on the first counterexample: the architecture of the paper's
+//! 250-core driver, scaled to a thread count.
 
 use veriqec_cexpr::VarId;
 
@@ -38,6 +41,11 @@ impl Default for SplitConfig {
 ///
 /// Each yielded subtask is a partial assignment (as variable/value pairs);
 /// the union of subtasks covers the full space, mirroring Appendix D.4.
+/// The `0` branch is explored before the `1` branch, so the first subtask
+/// is the all-zero prefix. It holds most of the weight-≤t assignments, so
+/// it takes longest to solve and is the likeliest to hold a counterexample;
+/// handing it out first is LPT (longest processing time first) scheduling
+/// for the tail of a job.
 #[derive(Clone, Debug)]
 pub struct SubtaskIter {
     enum_vars: Vec<VarId>,
@@ -72,8 +80,8 @@ impl Iterator for SubtaskIter {
             zero.push((next, false));
             let mut one = partial;
             one.push((next, true));
-            self.stack.push(zero);
             self.stack.push(one);
+            self.stack.push(zero);
         }
         None
     }

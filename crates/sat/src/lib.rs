@@ -11,7 +11,8 @@
 //! compacting garbage collection, first-UIP clause learning with recursive
 //! clause minimization, VSIDS branching with phase saving, Luby restarts,
 //! glue-tiered (LBD) learned-clause deletion, incremental solving under
-//! assumptions, and per-feature switches for ablation experiments.
+//! assumptions, learnt-clause exchange among solvers over one base formula
+//! ([`ClauseExchange`]), and per-feature switches for ablation experiments.
 //!
 //! # Examples
 //!
@@ -30,11 +31,13 @@
 
 mod arena;
 mod dimacs;
+mod exchange;
 mod heap;
 mod lit;
 mod solver;
 
 pub use dimacs::{Cnf, ParseDimacsError};
+pub use exchange::ClauseExchange;
 pub use lit::{LBool, Lit, Var};
 pub use solver::{SatResult, Solver, SolverConfig, SolverStats, UnknownCause};
 
@@ -203,6 +206,45 @@ mod proptests {
                     }
                 }
             }
+        }
+
+        // Learnt-clause exchange is sound: the formula split into cubes over
+        // its first variables, solved by two clones of one base that
+        // alternate queries and share one exchange (restarting every few
+        // conflicts, so imports also land mid-solve), decides every cube
+        // like an unshared solver and the whole formula like one solve.
+        #[test]
+        fn shared_cube_solves_agree_with_one_solve(cnf in arb_hard_cnf()) {
+            let config = SolverConfig { restart_base: 1, ..SolverConfig::default() };
+            let mut base = build_with(&cnf, config);
+            add_clauses(&mut base, &cnf.clauses);
+            let exchange = std::sync::Arc::new(ClauseExchange::default());
+            let mut pair = [base.clone(), base.clone()];
+            for s in &mut pair {
+                s.share_clauses(std::sync::Arc::clone(&exchange));
+            }
+            let split = cnf.num_vars.min(3);
+            let mut any_sat = false;
+            for bits in 0u32..1 << split {
+                let cube: Vec<Lit> = (0..split)
+                    .map(|i| Lit::new(Var(i as u32), (bits >> i) & 1 == 1))
+                    .collect();
+                let shared = &mut pair[bits as usize % 2];
+                let got = shared.solve(&cube);
+                prop_assert_eq!(got.clone(), base.clone().solve(&cube));
+                if got == SatResult::Sat {
+                    any_sat = true;
+                    let model = shared.model();
+                    for c in &cnf.clauses {
+                        prop_assert!(c.iter().any(|&(v, pos)| model[v] == pos));
+                    }
+                    for l in &cube {
+                        prop_assert_eq!(model[l.var().index()], l.is_positive());
+                    }
+                }
+            }
+            prop_assert_eq!(any_sat, base.solve(&[]) == SatResult::Sat);
+            prop_assert_eq!(any_sat, brute_force(&cnf));
         }
     }
 }

@@ -6,8 +6,9 @@
 //! reproduction's stand-in for the paper's Z3/CVC5 back end.
 
 use crate::arena::{ClauseArena, ClauseRef};
+use crate::exchange::{Member, EXPORT_MAX_LBD};
 use crate::heap::ActivityHeap;
-use crate::{LBool, Lit, Var};
+use crate::{ClauseExchange, LBool, Lit, Var};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -274,6 +275,9 @@ pub struct Solver {
     /// Why the last `solve` returned [`SatResult::Unknown`] (see
     /// [`Solver::unknown_cause`]).
     unknown_cause: Option<UnknownCause>,
+    /// Membership of a learnt-clause exchange (see
+    /// [`Solver::share_clauses`]).
+    share: Option<Member>,
 }
 
 impl Default for Solver {
@@ -318,6 +322,7 @@ impl Solver {
             lbd_stamp: 0,
             stop: None,
             unknown_cause: None,
+            share: None,
         }
     }
 
@@ -329,6 +334,55 @@ impl Solver {
     /// solver; the owner decides when a stop is rescinded.
     pub fn set_stop_flag(&mut self, flag: Arc<AtomicBool>) {
         self.stop = Some(flag);
+    }
+
+    /// Joins a learnt-clause exchange (see [`ClauseExchange`]): from now on
+    /// this solver exports its short low-glue learnt clauses to `exchange`
+    /// and imports the other members' clauses, including every clause
+    /// exported before it joined. Every member must hold the same clauses
+    /// over the same variable numbering; a clone keeps its original's
+    /// membership, so register clones of an unshared base instead.
+    pub fn share_clauses(&mut self, exchange: Arc<ClauseExchange>) {
+        self.share = Some(Member::join(exchange));
+    }
+
+    /// Imports the other exchange members' new clauses at the root as
+    /// core-tier learnt clauses. Returns `false` when an import empties a
+    /// clause, i.e. the shared base is unsatisfiable.
+    fn import_shared(&mut self) -> bool {
+        let Some(member) = self.share.as_mut() else {
+            return true;
+        };
+        debug_assert_eq!(self.trail_lim.len(), 0, "imports happen at the root");
+        let (mut lits, mut ends) = (Vec::new(), Vec::new());
+        member.fetch(&mut lits, &mut ends);
+        let mut start = 0;
+        for end in ends {
+            let mut clause = Vec::with_capacity(end - start);
+            let mut satisfied = false;
+            for &l in &lits[start..end] {
+                match self.value(l) {
+                    LBool::True => satisfied = true,
+                    LBool::False => {}
+                    LBool::Undef => clause.push(l),
+                }
+            }
+            start = end;
+            if satisfied {
+                continue;
+            }
+            match clause.len() {
+                0 => {
+                    self.ok = false;
+                    return false;
+                }
+                1 => self.unchecked_enqueue(clause[0], None),
+                _ => {
+                    self.attach_clause(&clause, true, EXPORT_MAX_LBD);
+                }
+            }
+        }
+        true
     }
 
     /// True when an installed stop flag is currently raised.
@@ -950,7 +1004,7 @@ impl Solver {
         let track = veriqec_obs::active();
         let solve_t0 = track.then(std::time::Instant::now);
         self.backtrack_to(0);
-        if self.propagate().is_some() {
+        if !self.import_shared() || self.propagate().is_some() {
             self.ok = false;
             return SatResult::Unsat;
         }
@@ -980,6 +1034,9 @@ impl Solver {
                 }
                 if self.config.use_learning {
                     let (bt, lbd) = self.analyze(conflict);
+                    if let Some(member) = &self.share {
+                        member.offer(&self.learnt_buf, lbd);
+                    }
                     self.backtrack_to(bt);
                     self.stats.learned += 1;
                     self.stats.lbd_sum += u64::from(lbd);
@@ -1031,6 +1088,9 @@ impl Solver {
                         "restart",
                         &[("conflicts", conflicts_this_solve as f64)],
                     );
+                    if !self.import_shared() {
+                        return SatResult::Unsat;
+                    }
                 }
                 if self.config.use_learning && self.stats.learnts > max_learnts {
                     let before = self.stats.learnts;
@@ -1369,6 +1429,24 @@ mod tests {
             "compaction must shrink the arena"
         );
         assert_eq!(s.solve(&[]), SatResult::Unsat);
+    }
+
+    #[test]
+    fn shared_clauses_reach_the_other_member() {
+        let mut base = Solver::new();
+        add_php(&mut base, 5, 4);
+        let exchange = Arc::new(ClauseExchange::default());
+        let mut first = base.clone();
+        first.share_clauses(Arc::clone(&exchange));
+        assert_eq!(first.solve(&[]), SatResult::Unsat);
+        assert!(exchange.len() > 0, "PHP(5,4) learns short glue clauses");
+        // A member joining later imports everything exported so far.
+        let mut second = base.clone();
+        second.share_clauses(Arc::clone(&exchange));
+        assert_eq!(second.solve(&[]), SatResult::Unsat);
+        let mut alone = base;
+        assert_eq!(alone.solve(&[]), SatResult::Unsat);
+        assert!(second.stats().conflicts <= alone.stats().conflicts);
     }
 
     #[test]

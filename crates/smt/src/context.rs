@@ -92,6 +92,13 @@ impl SmtContext {
         self.solver.set_stop_flag(flag);
     }
 
+    /// Joins a learnt-clause exchange (see
+    /// [`veriqec_sat::Solver::share_clauses`]). Every member must be a
+    /// clone of one context that allocates no variable after cloning.
+    pub fn share_clauses(&mut self, exchange: std::sync::Arc<veriqec_sat::ClauseExchange>) {
+        self.solver.share_clauses(exchange);
+    }
+
     /// The SAT literal representing the constant `true`.
     pub fn lit_true(&mut self) -> Lit {
         if let Some(l) = self.true_lit {

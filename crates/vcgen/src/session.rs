@@ -94,6 +94,12 @@ impl VcSession {
         self.ctx.set_stop_flag(flag);
     }
 
+    /// Joins a learnt-clause exchange shared with other clones of this
+    /// session's encoding (see [`SmtContext::share_clauses`]).
+    pub fn share_clauses(&mut self, exchange: std::sync::Arc<veriqec_sat::ClauseExchange>) {
+        self.ctx.share_clauses(exchange);
+    }
+
     /// Number of base encodings performed (always 1 for a live session; the
     /// counter exists so sweep tests can assert nothing was re-encoded).
     pub fn encode_count(&self) -> usize {

@@ -266,6 +266,7 @@ fn gate_report_matches_the_gate_schema() {
         Row::higher("sat", "aggregate", "props_per_s", 3.75e6, "1/s"),
         Row::lower("dd", "Steane [[7,1,3]]", "peak_nodes", 4000.0, "count"),
         Row::higher("dd", "Steane [[7,1,3]]", "cache_hit_rate", 0.4, "ratio"),
+        Row::lower("engine", "surface5_t3_cex", "cubes", 2.0, "count"),
     ]);
     let dd = find(&rows, "dd", "Steane [[7,1,3]]", "peak_nodes");
     assert_eq!(dd.get("value").unwrap().as_f64(), Some(4000.0));
